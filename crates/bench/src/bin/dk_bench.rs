@@ -1,11 +1,8 @@
 //! Kernel/encoding/offload micro-benchmarks with machine-readable output.
 //!
 //! Measures the delayed-reduction fast kernels against the preserved
-//! per-MAC-reducing scalar baselines (`dk_linalg::reference`) — and,
-//! for the rewritten kernels, against an in-binary snapshot of the
-//! previous-generation fast kernels ([`prev`]) so each optimization
-//! round's gain is recorded independently of the host — on the shapes
-//! the offload path actually runs. Also measures the staged pipelined
+//! per-MAC-reducing scalar baselines (`dk_linalg::reference`) on the
+//! shapes the offload path actually runs. Also measures the staged pipelined
 //! engine against the sequential session on a real multi-layer model
 //! (the §7.1 overlap claim) and, with `--alloc`, the allocation
 //! behaviour of steady-state steps via a counting global allocator.
@@ -44,202 +41,6 @@ use std::time::Instant;
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
 
-/// Verbatim snapshots of the *previous* fast kernels (PR 5 vintage:
-/// stack-resident `COL_TILE` accumulator strip with four pending `A`
-/// rows flushed per pass, packed `at_b` panels, and a four-lane `a_bt`
-/// dot loop), kept so the lane-parallel struct-of-arrays rewrite's gain
-/// is measured in-binary on the same host instead of against stale
-/// committed numbers.
-mod prev {
-    use dk_linalg::Scalar;
-
-    const LANES: usize = 4;
-    const COL_TILE: usize = 512;
-    const AT_PANEL: usize = 64;
-
-    #[inline]
-    fn flush_quad<T: Scalar>(
-        acc: &mut [T::Acc],
-        av: &[T; LANES],
-        b: &[T],
-        pq: &[usize; LANES],
-        n: usize,
-        j0: usize,
-    ) {
-        let jw = acc.len();
-        let b0 = &b[pq[0] * n + j0..][..jw];
-        let b1 = &b[pq[1] * n + j0..][..jw];
-        let b2 = &b[pq[2] * n + j0..][..jw];
-        let b3 = &b[pq[3] * n + j0..][..jw];
-        for ((((aj, &x0), &x1), &x2), &x3) in acc.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-            *aj = T::mac(T::mac(T::mac(T::mac(*aj, av[0], x0), av[1], x1), av[2], x2), av[3], x3);
-        }
-    }
-
-    fn matmul_block<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: usize, n: usize) {
-        let mut strip = [T::acc_zero(); COL_TILE];
-        let fold_limit = T::FOLD_INTERVAL.saturating_sub(LANES - 1);
-        for i in 0..rows {
-            let arow = &a[i * k..(i + 1) * k];
-            let crow = &mut c[i * n..(i + 1) * n];
-            let mut j0 = 0;
-            while j0 < n {
-                let jw = (n - j0).min(COL_TILE);
-                let acc = &mut strip[..jw];
-                for (aj, &cj) in acc.iter_mut().zip(&crow[j0..j0 + jw]) {
-                    *aj = cj.acc_lift();
-                }
-                let mut unfolded = 0usize;
-                let mut av = [T::zero(); LANES];
-                let mut pq = [0usize; LANES];
-                let mut pending = 0usize;
-                for (p, &aip) in arow.iter().enumerate() {
-                    if aip == T::zero() {
-                        continue;
-                    }
-                    av[pending] = aip;
-                    pq[pending] = p;
-                    pending += 1;
-                    if pending == LANES {
-                        if unfolded >= fold_limit {
-                            for aj in acc.iter_mut() {
-                                *aj = T::acc_fold(*aj);
-                            }
-                            unfolded = 0;
-                        }
-                        flush_quad(acc, &av, b, &pq, n, j0);
-                        unfolded += LANES;
-                        pending = 0;
-                    }
-                }
-                for t in 0..pending {
-                    if unfolded >= fold_limit {
-                        for aj in acc.iter_mut() {
-                            *aj = T::acc_fold(*aj);
-                        }
-                        unfolded = 0;
-                    }
-                    let brow = &b[pq[t] * n + j0..][..jw];
-                    for (aj, &bj) in acc.iter_mut().zip(brow) {
-                        *aj = T::mac(*aj, av[t], bj);
-                    }
-                    unfolded += 1;
-                }
-                for (cj, &aj) in crow[j0..j0 + jw].iter_mut().zip(acc.iter()) {
-                    *cj = T::acc_finish(aj);
-                }
-                j0 += jw;
-            }
-        }
-    }
-
-    pub fn matmul<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
-        let mut c = vec![T::zero(); m * n];
-        if m == 0 || n == 0 {
-            return c;
-        }
-        matmul_block(a, b, &mut c, m, k, n);
-        c
-    }
-
-    pub fn matmul_at_b<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
-        let mut c = vec![T::zero(); m * n];
-        if m == 0 || n == 0 || k == 0 {
-            return c;
-        }
-        let panel = AT_PANEL.min(m);
-        let mut scratch = vec![T::zero(); panel * k];
-        let mut is = 0;
-        while is < m {
-            let iw = (m - is).min(panel);
-            for p in 0..k {
-                let acol = &a[p * m + is..p * m + is + iw];
-                for (r, &v) in acol.iter().enumerate() {
-                    scratch[r * k + p] = v;
-                }
-            }
-            matmul_block(&scratch[..iw * k], b, &mut c[is * n..(is + iw) * n], iw, k, n);
-            is += iw;
-        }
-        c
-    }
-
-    pub fn matmul_a_bt<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
-        let mut c = vec![T::zero(); m * n];
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let mut j = 0;
-            while j + LANES <= n {
-                let b0 = &b[j * k..(j + 1) * k];
-                let b1 = &b[(j + 1) * k..(j + 2) * k];
-                let b2 = &b[(j + 2) * k..(j + 3) * k];
-                let b3 = &b[(j + 3) * k..(j + 4) * k];
-                let mut acc = [T::acc_zero(); LANES];
-                let mut unfolded = 0usize;
-                for (p, &x) in arow.iter().enumerate() {
-                    if T::SKIP_ZEROS && x == T::zero() {
-                        continue;
-                    }
-                    if unfolded == T::FOLD_INTERVAL {
-                        for aj in acc.iter_mut() {
-                            *aj = T::acc_fold(*aj);
-                        }
-                        unfolded = 0;
-                    }
-                    acc[0] = T::mac(acc[0], x, b0[p]);
-                    acc[1] = T::mac(acc[1], x, b1[p]);
-                    acc[2] = T::mac(acc[2], x, b2[p]);
-                    acc[3] = T::mac(acc[3], x, b3[p]);
-                    unfolded += 1;
-                }
-                for (l, &aj) in acc.iter().enumerate() {
-                    c[i * n + j + l] = T::acc_finish(aj);
-                }
-                j += LANES;
-            }
-            while j < n {
-                let brow = &b[j * k..(j + 1) * k];
-                let mut acc = T::acc_zero();
-                let mut unfolded = 0usize;
-                for (&x, &y) in arow.iter().zip(brow) {
-                    if T::SKIP_ZEROS && x == T::zero() {
-                        continue;
-                    }
-                    if unfolded == T::FOLD_INTERVAL {
-                        acc = T::acc_fold(acc);
-                        unfolded = 0;
-                    }
-                    acc = T::mac(acc, x, y);
-                    unfolded += 1;
-                }
-                c[i * n + j] = T::acc_finish(acc);
-                j += 1;
-            }
-        }
-        c
-    }
-
-    /// The PR-8 coding path the streaming `coded_combine` kernels
-    /// replace: stack the separate rows into one flat operand (the copy
-    /// the streaming pass eliminates), run the lane-parallel matmul
-    /// over it, split the product back into freshly allocated rows — as
-    /// the committed `encode`/`decode` wrappers did per call.
-    pub fn coded_combine(
-        coeff: &[dk_field::F25],
-        x: &[Vec<dk_field::F25>],
-        rows: usize,
-        n: usize,
-    ) -> Vec<Vec<dk_field::F25>> {
-        let kdim = x.len();
-        let mut flat = vec![dk_field::F25::ZERO; kdim * n];
-        for (d, s) in flat.chunks_mut(n).zip(x) {
-            d.copy_from_slice(s);
-        }
-        let c = dk_linalg::matmul(coeff, &flat, rows, kdim, n);
-        c.chunks(n).map(<[dk_field::F25]>::to_vec).collect()
-    }
-}
-
 /// Median ns/iteration: calibrate the batch to roughly `target_ms`, then
 /// take five samples.
 fn time_ns(target_ms: u64, mut f: impl FnMut()) -> f64 {
@@ -274,9 +75,6 @@ struct Entry {
     macs: u64,
     baseline_ns: f64,
     fast_ns: f64,
-    /// Same-host timing of the previous-generation fast kernel (the
-    /// [`prev`] snapshot), when one exists for this row.
-    prev_ns: Option<f64>,
 }
 
 impl Entry {
@@ -284,16 +82,8 @@ impl Entry {
         self.macs as f64 / ns * 1e3 // MACs/ns → M ops/s
     }
     fn to_json(&self) -> String {
-        let prev = match self.prev_ns {
-            Some(p) => format!(
-                ", \"prev_fast_ns_per_op\": {:.1}, \"speedup_vs_prev\": {:.2}",
-                p,
-                p / self.fast_ns
-            ),
-            None => String::new(),
-        };
         format!(
-            "    {{\"name\": \"{}\", \"macs\": {}, \"scalar_ns_per_op\": {:.1}, \"fast_ns_per_op\": {:.1}, \"scalar_mops\": {:.1}, \"fast_mops\": {:.1}, \"speedup\": {:.2}{}}}",
+            "    {{\"name\": \"{}\", \"macs\": {}, \"scalar_ns_per_op\": {:.1}, \"fast_ns_per_op\": {:.1}, \"scalar_mops\": {:.1}, \"fast_mops\": {:.1}, \"speedup\": {:.2}}}",
             self.name,
             self.macs,
             self.baseline_ns,
@@ -301,7 +91,6 @@ impl Entry {
             self.mops(self.baseline_ns),
             self.mops(self.fast_ns),
             self.baseline_ns / self.fast_ns,
-            prev
         )
     }
 }
@@ -367,9 +156,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(matmul(&a, &b, m, k, n));
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::matmul(&a, &b, m, k, n));
-        })),
     });
     // The pre-optimization arithmetic in full: per-MAC `u128 %` division
     // (the baselines above already use the new Barrett scalar multiply,
@@ -394,7 +180,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(matmul(&a, &b, m, k, n));
         }),
-        prev_ns: None,
     });
     let af: Vec<f32> = (0..m * k).map(|i| (i % 9) as f32 * 0.1).collect();
     let bf: Vec<f32> = (0..k * n).map(|i| (i % 5) as f32 * 0.1).collect();
@@ -407,9 +192,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(matmul(&af, &bf, m, k, n));
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::matmul(&af, &bf, m, k, n));
-        })),
     });
     let at = field_vec(&mut rng, k * m);
     entries.push(Entry {
@@ -421,9 +203,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(matmul_at_b(&at, &b, m, k, n));
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::matmul_at_b(&at, &b, m, k, n));
-        })),
     });
     let bt = field_vec(&mut rng, n * k);
     entries.push(Entry {
@@ -435,9 +214,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(matmul_a_bt(&a, &bt, m, k, n));
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::matmul_a_bt(&a, &bt, m, k, n));
-        })),
     });
 
     // --- conv2d forward (the GPU worker's hot job) ----------------------
@@ -460,7 +236,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(conv2d_forward(&xq, &wq, &shape));
         }),
-        prev_ns: None,
     });
 
     // --- encoding: Algorithm-1 masking as coefficient-matrix matmuls ----
@@ -477,11 +252,6 @@ fn main() {
     // runs: a warm workspace, rows recycled after every call (so the
     // per-call zeroing is counted, the allocations are not).
     let mut cws = Workspace::new();
-    // The prev replica needs row-major coefficients and the stacked
-    // rows as one slice-of-rows (A's layout is scheme-private; timing
-    // depends only on shape).
-    let enc_at = field_vec(&mut rng, s_cols * (ek + em));
-    let enc_rows: Vec<Vec<F25>> = inputs.iter().chain(&noise).cloned().collect();
     entries.push(Entry {
         name: format!("encode_k{ek}_m{em}_n{en}/field"),
         macs: (s_cols * (ek + em) * en) as u64,
@@ -496,9 +266,6 @@ fn main() {
             }
             cws.give(enc);
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::coded_combine(&enc_at, &enc_rows, s_cols, en));
-        })),
     });
     let encodings = scheme.encode(&inputs, &noise);
     let s_sq = ek + em;
@@ -506,10 +273,6 @@ fn main() {
     let dec_inv = field_vec(&mut rng, s_sq * s_sq);
     let dec_y: Vec<F25> = encodings.iter().take(s_sq).flatten().copied().collect();
     let dec_col = field_vec(&mut rng, s_sq);
-    // Prev replica of the committed decode: stack, predict the
-    // redundant row, compare, then the k-row decode matmul.
-    let dec_coeff = field_vec(&mut rng, ek * s_sq);
-    let enc_rows_sq: Vec<Vec<F25>> = encodings.iter().take(s_sq).cloned().collect();
     entries.push(Entry {
         name: format!("decode_forward_k{ek}_m{em}_n{en}/field"),
         macs: ((s_sq * s_sq + s_sq) * en) as u64,
@@ -525,16 +288,6 @@ fn main() {
             }
             cws.give(dec);
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            let mut flat = vec![F25::ZERO; s_sq * en];
-            for (d, s) in flat.chunks_mut(en).zip(&enc_rows_sq) {
-                d.copy_from_slice(s);
-            }
-            let pred = matmul(&dec_col, &flat, 1, s_sq, en);
-            let mm = pred.iter().zip(&enc_rows_sq[0]).filter(|(p, r)| p != r).count();
-            std::hint::black_box(mm);
-            std::hint::black_box(matmul(&dec_coeff, &flat, ek, s_sq, en));
-        })),
     });
     // The γ-weighted backward aggregate (Eq. 6): one output row over
     // the first K+M equations.
@@ -550,9 +303,6 @@ fn main() {
             std::hint::black_box(&out);
             cws.give(out);
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::coded_combine(&gam, &enc_rows_sq, 1, en));
-        })),
     });
 
     // --- offload: a dense-layer forward job (dk_serve's hot path) -------
@@ -568,9 +318,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(matmul_a_bt(&x, &w, dn, din, dout));
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::matmul_a_bt(&x, &w, dn, din, dout));
-        })),
     });
 
     // --- pipeline: staged engine vs sequential session ------------------

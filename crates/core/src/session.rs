@@ -52,6 +52,26 @@
 //! batch. Every public pass entry point routes through it — a pass on a
 //! batch that already ran one auto-begins the next batch, so stale
 //! contexts can never be reused across entry points.
+//!
+//! # Buffer ownership
+//!
+//! Every buffer a pass takes from the session pool, and every enclave
+//! byte it charges, has exactly one owner and one way back:
+//!
+//! * An offload call's transient buffers — quantized rows, noise,
+//!   encodings, jobs, worker outputs, decoded rows — and its working-set
+//!   charge live in one per-call `Scratch`. The call's single exit hands
+//!   it to `reclaim`: worker outputs go back to the backend's pools,
+//!   everything else to the session pool, the charge to the enclave.
+//! * A training forward moves its quantized inputs and noise (and their
+//!   charge) into the layer's `LinearCtx`. The context is retired once,
+//!   by that layer's backward offload or by the batch's retirement.
+//! * An activation belongs to the layer walk until the next layer has
+//!   consumed it; the pass output belongs to the caller
+//!   ([`DarknightSession::recycle_output`] hands it back).
+//!
+//! Abort paths therefore need no code of their own: an error leaves
+//! through the same exit as success.
 
 use crate::config::DarknightConfig;
 use crate::engine::StepPlan;
@@ -131,6 +151,128 @@ struct LinearCtx {
     /// Quantized inputs, kept for the same check.
     inputs_q: Vec<Vec<F25>>,
     enclave_bytes: usize,
+}
+
+/// Everything one offload call holds: its pool-backed buffers and its
+/// enclave working-set charge. The call body fills it and returns early
+/// with plain `?`; the call's single exit hands it to
+/// [`DarknightSession::reclaim`], on success and on every abort alike.
+/// Buffers moved into a retained [`LinearCtx`] are no longer held here.
+#[derive(Default)]
+struct Scratch {
+    /// Enclave bytes charged by this call and not handed to a context.
+    work_bytes: usize,
+    inputs_q: Vec<Vec<F25>>,
+    noise: Vec<Vec<F25>>,
+    /// Decoded forward output rows.
+    rows: Vec<Vec<F25>>,
+    /// The shared-scale quantization row, or the decoded weight gradient.
+    flat: Vec<F25>,
+    norms: Vec<f32>,
+    /// Offloaded and TEE-checked jobs; their encoded inputs are recovered
+    /// with [`LinearJob::into_input`].
+    jobs: Vec<LinearJob>,
+    results: Vec<dk_gpu::WorkerResult>,
+    /// Worker outputs; they go back to the backend's pools.
+    outputs: Vec<Tensor<F25>>,
+}
+
+/// A bilinear layer as the offload cycle sees it. Conv and dense differ
+/// only in the jobs they build and in their bias ops; the rest of the
+/// cycle is shared.
+enum Bilinear<'a> {
+    Conv(&'a mut Conv2d),
+    Dense(&'a mut Dense),
+}
+
+impl Bilinear<'_> {
+    fn weights(&self) -> &Tensor<f32> {
+        match self {
+            Bilinear::Conv(l) => l.weights(),
+            Bilinear::Dense(l) => l.weights(),
+        }
+    }
+
+    fn add_bias(&self, y: &mut Tensor<f32>) {
+        match self {
+            Bilinear::Conv(l) => ops::add_bias_nchw(y, l.bias().as_slice()),
+            Bilinear::Dense(l) => ops::add_bias_rows(y, l.bias().as_slice()),
+        }
+    }
+
+    /// Bias gradient: a cheap float reduction inside the TEE.
+    fn accumulate_bias_grad(&mut self, dy: &Tensor<f32>) {
+        match self {
+            Bilinear::Conv(l) => {
+                let bg = ops::bias_grad_nchw(dy);
+                l.accumulate_bias_grad(&Tensor::from_vec(&[bg.len()], bg));
+            }
+            Bilinear::Dense(l) => {
+                let bg = ops::bias_grad_rows(dy);
+                l.accumulate_bias_grad(&Tensor::from_vec(&[bg.len()], bg));
+            }
+        }
+    }
+
+    fn accumulate_weight_grad(&mut self, gw: &Tensor<f32>) {
+        match self {
+            Bilinear::Conv(l) => l.accumulate_weight_grad(gw),
+            Bilinear::Dense(l) => l.accumulate_weight_grad(gw),
+        }
+    }
+
+    fn forward_job(&self, weights: Arc<Tensor<F25>>, x: Tensor<F25>) -> LinearJob {
+        match self {
+            Bilinear::Conv(l) => LinearJob::ConvForward { weights, x, shape: *l.shape() },
+            Bilinear::Dense(_) => LinearJob::DenseForward { weights, x },
+        }
+    }
+
+    /// The weight-gradient job a worker runs against the encoding it
+    /// stored for `layer_id`.
+    fn stored_wgrad_job(
+        &self,
+        layer_id: u64,
+        delta_batch: Arc<Tensor<F25>>,
+        beta: Vec<F25>,
+    ) -> LinearJob {
+        match self {
+            Bilinear::Conv(l) => {
+                LinearJob::ConvWeightGradStored { delta_batch, beta, layer_id, shape: *l.shape() }
+            }
+            Bilinear::Dense(_) => LinearJob::DenseWeightGradStored { delta_batch, beta, layer_id },
+        }
+    }
+
+    /// The same weight-gradient job with the encoding supplied explicitly.
+    fn wgrad_job(&self, delta: Tensor<F25>, x: Tensor<F25>) -> LinearJob {
+        match self {
+            Bilinear::Conv(l) => LinearJob::ConvWeightGrad { delta, x, shape: *l.shape() },
+            Bilinear::Dense(_) => LinearJob::DenseWeightGrad { delta, x },
+        }
+    }
+
+    fn data_grad_job(
+        &self,
+        weights: Arc<Tensor<F25>>,
+        delta: Tensor<F25>,
+        input_shape: &[usize],
+    ) -> LinearJob {
+        match self {
+            Bilinear::Conv(l) => LinearJob::ConvBackwardData {
+                weights,
+                delta,
+                shape: *l.shape(),
+                input_hw: (input_shape[2], input_shape[3]),
+            },
+            Bilinear::Dense(_) => LinearJob::DenseBackwardData { weights, delta },
+        }
+    }
+}
+
+/// Number of differing elements between a result and its recomputation.
+fn mismatches(a: &Tensor<F25>, b: &Tensor<F25>) -> usize {
+    a.as_slice().iter().zip(b.as_slice()).filter(|(x, y)| x != y).count()
 }
 
 /// A DarKnight execution session (see module docs). Generic over the
@@ -252,31 +394,40 @@ impl<X: GpuExec> DarknightSession<X> {
         self.ws.stats()
     }
 
-    /// Returns a batch of recycled row vectors (and their outer vector)
-    /// to the buffer pool.
-    fn give_rows(&mut self, mut rows: Vec<Vec<F25>>) {
-        for r in rows.drain(..) {
-            self.ws.give(r);
+    /// The single reclaim point: gives back everything a [`Scratch`]
+    /// still holds — worker outputs to the backend's pools, encoded job
+    /// inputs and every other buffer to the session pool, the charge to
+    /// the enclave.
+    fn reclaim(&mut self, mut s: Scratch) {
+        let released = self.enclave.release(s.work_bytes);
+        debug_assert!(released.is_ok(), "reclaimed more enclave bytes than were charged");
+        for mut rows in [s.inputs_q, s.noise, s.rows] {
+            for r in rows.drain(..) {
+                self.ws.give(r);
+            }
+            self.ws.give(rows);
         }
-        self.ws.give(rows);
-    }
-
-    /// Recycles a retired context's quantized inputs and noise vectors.
-    fn recycle_ctx(&mut self, ctx: LinearCtx) {
-        self.give_rows(ctx.inputs_q);
-        self.give_rows(ctx.noise);
-    }
-
-    /// Recovers the encoded-input tensors owned by a finished job set
-    /// and returns them (plus the job `Vec` itself) to the buffer pool —
-    /// the other half of the zero-allocation offload round-trip.
-    fn recycle_jobs(&mut self, mut jobs: Vec<LinearJob>) {
-        for job in jobs.drain(..) {
+        for job in s.jobs.drain(..) {
             if let Some(x) = job.into_input() {
                 self.ws.give_tensor(x);
             }
         }
-        self.ws.give(jobs);
+        self.cluster.recycle_outputs(&mut s.outputs);
+        self.ws.give(s.jobs);
+        self.ws.give(s.results);
+        self.ws.give(s.outputs);
+        self.ws.give(s.flat);
+        self.ws.give(s.norms);
+    }
+
+    /// Retires a context: its rows and its enclave charge go back.
+    fn recycle_ctx(&mut self, ctx: LinearCtx) {
+        self.reclaim(Scratch {
+            work_bytes: ctx.enclave_bytes,
+            inputs_q: ctx.inputs_q,
+            noise: ctx.noise,
+            ..Scratch::default()
+        });
     }
 
     /// Returns a pass output (from [`DarknightSession::private_forward`]
@@ -373,24 +524,20 @@ impl<X: GpuExec> DarknightSession<X> {
         self.pass_started = true;
     }
 
-    /// Retires the installed batch: drops per-layer contexts, releases
-    /// their retained enclave bytes and the backend-stored encodings.
-    /// Also runs on drop — a pipelined lane's backend (the shared
-    /// dispatcher with its persistent workers) outlives the lane
-    /// session, so the final batch's encodings must not be left behind.
+    /// Retires the installed batch: recycles the contexts no backward
+    /// pass consumed (an aborted or forward-only batch) and releases the
+    /// backend-stored encodings. Also runs on drop — a pipelined lane's
+    /// backend (the shared dispatcher with its persistent workers)
+    /// outlives the lane session, so the final batch's encodings must
+    /// not be left behind.
     fn retire_batch(&mut self) {
-        let mut retained = 0usize;
-        let Self { ctxs, ws, .. } = self;
+        // The map is moved out so each context can retire through
+        // `&mut self`; it goes back empty with its capacity intact.
+        let mut ctxs = std::mem::take(&mut self.ctxs);
         for (_, ctx) in ctxs.drain() {
-            retained += ctx.enclave_bytes;
-            for mut rows in [ctx.inputs_q, ctx.noise] {
-                for r in rows.drain(..) {
-                    ws.give(r);
-                }
-                ws.give(rows);
-            }
+            self.recycle_ctx(ctx);
         }
-        let _ = self.enclave.release(retained);
+        self.ctxs = ctxs;
         if !self.stored_ctxs.is_empty() {
             // Split-borrow so the id list can be passed by reference and
             // cleared in place instead of `mem::take`-ing a fresh Vec
@@ -431,14 +578,19 @@ impl<X: GpuExec> DarknightSession<X> {
         self.pass_started = false;
     }
 
-    /// Marks a pass as running on the installed batch, auto-beginning a
-    /// fresh batch first if one already ran (so no entry point can reuse
-    /// stale contexts).
-    fn start_pass(&mut self) {
+    /// Checks that `x` is one virtual batch, then marks a pass as running
+    /// on the installed batch, auto-beginning a fresh batch first if one
+    /// already ran (so no entry point can reuse stale contexts).
+    fn start_pass(&mut self, x: &Tensor<f32>) -> Result<(), DarknightError> {
+        let (expected, actual) = (self.cfg.k(), x.shape()[0]);
+        if actual != expected {
+            return Err(DarknightError::BatchShape { expected, actual });
+        }
         if self.pass_started {
             self.begin_virtual_batch();
         }
         self.pass_started = true;
+        Ok(())
     }
 
     /// A deterministic per-(batch, layer) stream: independent of
@@ -463,13 +615,7 @@ impl<X: GpuExec> DarknightSession<X> {
         x: &Tensor<f32>,
         train: bool,
     ) -> Result<Tensor<f32>, DarknightError> {
-        if x.shape()[0] != self.cfg.k() {
-            return Err(DarknightError::BatchShape {
-                expected: self.cfg.k(),
-                actual: x.shape()[0],
-            });
-        }
-        self.start_pass();
+        self.start_pass(x)?;
         self.forward_layers(model.layers_mut(), x, train, false)
     }
 
@@ -581,17 +727,18 @@ impl<X: GpuExec> DarknightSession<X> {
         train: bool,
         per_sample: bool,
     ) -> Result<Tensor<f32>, DarknightError> {
+        // Only a shared-scale training pass has a backward half that
+        // revisits its linear layers.
+        let retain = train && !per_sample;
         let mut cur: Option<Tensor<f32>> = None;
         for layer in layers.iter_mut() {
             let input = cur.as_ref().unwrap_or(x);
             let next = match layer {
-                Layer::Conv2d(conv) => {
-                    let id = self.take_id();
-                    self.forward_conv(id, conv, input, train, per_sample)
+                Layer::Conv2d(l) => {
+                    self.offload_forward(&Bilinear::Conv(l), input, per_sample, retain)
                 }
-                Layer::Dense(dense) => {
-                    let id = self.take_id();
-                    self.forward_dense(id, dense, input, train, per_sample)
+                Layer::Dense(l) => {
+                    self.offload_forward(&Bilinear::Dense(l), input, per_sample, retain)
                 }
                 Layer::Residual(res) => self.forward_residual(res, input, train, per_sample),
                 other => {
@@ -599,28 +746,19 @@ impl<X: GpuExec> DarknightSession<X> {
                     Ok(other.forward_ws(input, train, &mut self.ws))
                 }
             };
-            let next = match next {
-                Ok(n) => n,
-                Err(e) => {
-                    // Recycle the in-flight activation: an aborted batch
-                    // must not drain the steady-state pool.
-                    if let Some(prev) = cur.take() {
-                        self.ws.give_tensor(prev);
-                    }
-                    return Err(e);
-                }
-            };
+            // The consumed activation goes back whether or not the layer
+            // succeeded.
             if let Some(prev) = cur.take() {
                 self.ws.give_tensor(prev);
             }
-            cur = Some(next);
+            cur = Some(next?);
         }
         Ok(cur.unwrap_or_else(|| x.clone()))
     }
 
     /// The residual-block arm of [`DarknightSession::forward_layers`]:
     /// `y = main(x) + shortcut(x)`, with the shortcut sum folded in
-    /// place and all intermediates recycled (also on the error paths).
+    /// place.
     fn forward_residual(
         &mut self,
         res: &mut Residual,
@@ -632,19 +770,29 @@ impl<X: GpuExec> DarknightSession<X> {
         self.stats.nonlinear_elems += main.len() as u64;
         if res.shortcut().is_empty() {
             main.add_assign(input);
-        } else {
-            match self.forward_layers(res.shortcut_mut(), input, train, per_sample) {
-                Ok(s) => {
-                    main.add_assign(&s);
-                    self.ws.give_tensor(s);
-                }
-                Err(e) => {
-                    self.ws.give_tensor(main);
-                    return Err(e);
-                }
-            }
+            return Ok(main);
         }
-        Ok(main)
+        let shortcut = self.forward_layers(res.shortcut_mut(), input, train, per_sample);
+        self.join_branches(main, shortcut)
+    }
+
+    /// Sums a residual block's second branch into `acc`. The buffer that
+    /// is not returned — the second branch's, or `acc` when that branch
+    /// failed — goes back to the pool.
+    fn join_branches(
+        &mut self,
+        mut acc: Tensor<f32>,
+        other: Result<Tensor<f32>, DarknightError>,
+    ) -> Result<Tensor<f32>, DarknightError> {
+        let (out, spent) = match other {
+            Ok(o) => {
+                acc.add_assign(&o);
+                (Ok(acc), o)
+            }
+            Err(e) => (Err(e), acc),
+        };
+        self.ws.give_tensor(spent);
+        out
     }
 
     fn take_id(&mut self) -> u64 {
@@ -669,82 +817,80 @@ impl<X: GpuExec> DarknightSession<X> {
         &self,
         ordinal: u64,
         weights: &Tensor<f32>,
-        weight_shape: &[usize],
     ) -> Result<(Arc<Tensor<F25>>, f32), DarknightError> {
         if let Some(planned) = self.plan.as_ref().and_then(|p| p.linear(ordinal)) {
             return Ok((planned.weights_q.clone(), planned.norm_w));
         }
         let (wq_flat, norm_w) = self.normalize_quantize(weights.as_slice())?;
-        Ok((Arc::new(Tensor::from_vec(weight_shape, wq_flat)), norm_w))
+        Ok((Arc::new(Tensor::from_vec(weights.shape(), wq_flat)), norm_w))
     }
 
-    /// The forward offload round: quantize, mask, dispatch, decode.
+    /// One linear layer's forward cycle: quantize, mask, dispatch,
+    /// decode, verify, dequantize, add bias.
     ///
     /// `per_sample` selects the quantization policy for the inputs —
     /// one shared max-abs scale (training; the backward γ-aggregate
     /// needs it) vs one scale per row (serving inference). `retain`
     /// selects whether a backward pass will revisit this layer: when
-    /// set, the encodings are stored on the workers and a
-    /// [`LinearCtx`] is returned; when clear, nothing outlives the
-    /// call and every buffer — encodings, worker outputs, decode rows —
-    /// completes a pool round-trip. Returns the decoded per-sample
-    /// field outputs, the per-sample dequantize scale (`norm_w ·
-    /// norm_x_i`; all equal in shared mode), the per-encoding output
-    /// shape (pool-backed — callers hand it back via `give_shape`),
-    /// and the backward context (`retain` only).
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    /// set, the encodings are stored on the workers and the quantized
+    /// inputs and noise move into the layer's [`LinearCtx`]. Everything
+    /// else the cycle takes goes back at this function's single exit.
     fn offload_forward(
         &mut self,
-        layer_id: u64,
+        layer: &Bilinear<'_>,
         x: &Tensor<f32>,
-        weights: &Tensor<f32>,
-        make_job: impl Fn(Arc<Tensor<F25>>, Tensor<F25>) -> LinearJob,
-        weight_shape: &[usize],
-        enc_shape: &[usize],
         per_sample: bool,
         retain: bool,
-    ) -> Result<(Vec<Vec<F25>>, Vec<f32>, Vec<usize>, Option<LinearCtx>), DarknightError> {
+    ) -> Result<Tensor<f32>, DarknightError> {
+        let layer_id = self.take_id();
+        let mut s = Scratch::default();
+        let y = self.forward_cycle(&mut s, layer_id, layer, x, per_sample, retain);
+        self.reclaim(s);
+        y
+    }
+
+    /// The body of [`DarknightSession::offload_forward`]; every buffer
+    /// it takes is held in `s`.
+    fn forward_cycle(
+        &mut self,
+        s: &mut Scratch,
+        layer_id: u64,
+        layer: &Bilinear<'_>,
+        x: &Tensor<f32>,
+        per_sample: bool,
+        retain: bool,
+    ) -> Result<Tensor<f32>, DarknightError> {
         let k = self.cfg.k();
         let m = self.cfg.m();
         let ordinal = layer_id - self.ctx_base;
         let batch = self.batch_index;
         let quant = self.cfg.quant();
         let sp = dk_obs::span(dk_obs::Stage::Quantize, batch, ordinal);
-        let (weights_q, norm_w) = self.layer_weights(ordinal, weights, weight_shape)?;
+        let (weights_q, norm_w) = self.layer_weights(ordinal, layer.weights())?;
         let rest: usize = x.shape()[1..].iter().product();
-        // Quantization rows come out of the session pool; they are
-        // either retained in the backward context (and recycled when it
-        // retires) or given back at the end of this call.
-        let mut inputs_q: Vec<Vec<F25>> = self.ws.take_cleared(k);
-        let mut norms: Vec<f32> = self.ws.take_cleared(k);
-        let quantized: Result<(), DarknightError> = (|| {
-            if per_sample {
-                for i in 0..k {
-                    let mut row = self.ws.take_cleared::<F25>(rest);
-                    let norm_x = crate::reference::normalize_quantize_into(
-                        quant,
-                        &x.as_slice()[i * rest..(i + 1) * rest],
-                        &mut row,
-                    )?;
-                    inputs_q.push(row);
-                    norms.push(norm_x);
-                }
-            } else {
-                let mut flat = self.ws.take_cleared::<F25>(x.len());
-                let norm_x =
-                    crate::reference::normalize_quantize_into(quant, x.as_slice(), &mut flat)?;
-                for i in 0..k {
-                    inputs_q.push(self.ws.take_copy(&flat[i * rest..(i + 1) * rest]));
-                    norms.push(norm_x);
-                }
-                self.ws.give(flat);
+        s.inputs_q = self.ws.take_cleared(k);
+        s.norms = self.ws.take_cleared(k);
+        if per_sample {
+            for i in 0..k {
+                let mut row = self.ws.take_cleared::<F25>(rest);
+                let norm_x = crate::reference::normalize_quantize_into(
+                    quant,
+                    &x.as_slice()[i * rest..(i + 1) * rest],
+                    &mut row,
+                );
+                s.inputs_q.push(row);
+                s.norms.push(norm_x?);
             }
-            Ok(())
-        })();
-        if let Err(e) = quantized {
-            self.give_rows(inputs_q);
-            self.ws.give(norms);
-            return Err(e);
+        } else {
+            s.flat = self.ws.take_cleared(x.len());
+            let norm_x =
+                crate::reference::normalize_quantize_into(quant, x.as_slice(), &mut s.flat)?;
+            for i in 0..k {
+                s.inputs_q.push(self.ws.take_copy(&s.flat[i * rest..(i + 1) * rest]));
+                s.norms.push(norm_x);
+            }
+            // Done with the stacked row: back before the encode peak.
+            self.ws.give(std::mem::take(&mut s.flat));
         }
         drop(sp);
         let sp = dk_obs::span(dk_obs::Stage::Encode, batch, ordinal);
@@ -757,34 +903,34 @@ impl<X: GpuExec> DarknightSession<X> {
         // but the charge is kept identical in both branches so paging
         // accounting stays a pure function of shape, not of mode.
         let s_cols = self.scheme.num_encodings();
-        let work_bytes = x.len() * 4 + k * rest * 8 + (m + s_cols) * rest * 8;
-        let _paged = self.enclave.alloc_paged(work_bytes);
-        let (encodings, mut noise) = if retain {
+        s.work_bytes = x.len() * 4 + k * rest * 8 + (m + s_cols) * rest * 8;
+        let _paged = self.enclave.alloc_paged(s.work_bytes);
+        let mut enc_rows = if retain {
             // The backward spot check replays encodings from the stored
             // noise rows, so a training pass still materializes them.
-            let mut rows: Vec<Vec<F25>> = self.ws.take_cleared(m);
+            s.noise = self.ws.take_cleared(m);
             for _ in 0..m {
                 let mut v = self.ws.take_cleared::<F25>(rest);
                 nrng.uniform_extend::<P25>(rest, &mut v);
-                rows.push(v);
+                s.noise.push(v);
             }
-            let enc = self.scheme.encode_ws(&inputs_q, &rows, &mut self.ws);
-            (enc, Some(rows))
+            self.scheme.encode_ws(&s.inputs_q, &s.noise, &mut self.ws)
         } else {
             // Inference never revisits the noise: draw it in cache-sized
             // chunks fused straight into the encodings. Identical draw
             // order and count, so bits and RNG stream position match the
             // materialized branch exactly.
-            (self.scheme.encode_fused_ws(&inputs_q, &mut nrng, &mut self.ws), None)
+            self.scheme.encode_fused_ws(&s.inputs_q, &mut nrng, &mut self.ws)
         };
         self.stats.encoded_elems += (s_cols * rest) as u64;
         // The encoded rows (and their outer Vec) are pool-backed; pair
-        // each with a pooled shape so the whole encoding set becomes
-        // tensors without a fresh allocation.
+        // each with a pooled `[1, ...]` shape so the whole encoding set
+        // becomes tensors without a fresh allocation.
         let mut enc_tensors: Vec<Tensor<F25>> = self.ws.take_cleared(s_cols);
-        let mut enc_rows = encodings;
         for row in enc_rows.drain(..) {
-            enc_tensors.push(Tensor::from_parts(self.ws.take_shape(enc_shape), row));
+            let mut shape = self.ws.take_shape(x.shape());
+            shape[0] = 1;
+            enc_tensors.push(Tensor::from_parts(shape, row));
         }
         self.ws.give(enc_rows);
         self.stats.bytes_to_gpus += (s_cols * rest * 8) as u64;
@@ -797,108 +943,68 @@ impl<X: GpuExec> DarknightSession<X> {
             self.cluster.store_encodings(layer_id, enc_tensors.clone());
             self.stored_ctxs.push(layer_id);
         }
-        let mut jobs: Vec<LinearJob> = self.ws.take_cleared(enc_tensors.len());
+        s.jobs = self.ws.take_cleared(s_cols);
         for t in enc_tensors.drain(..) {
-            jobs.push(make_job(weights_q.clone(), t));
+            s.jobs.push(layer.forward_job(weights_q.clone(), t));
         }
         self.ws.give(enc_tensors);
-        self.stats.linear_jobs += jobs.len() as u64;
-        let mut results: Vec<dk_gpu::WorkerResult> = self.ws.take_cleared(jobs.len());
-        let mut outputs: Vec<Tensor<F25>> = self.ws.take_cleared(jobs.len());
-        let executed = self
-            .cluster
-            .execute_into(layer_id, &jobs, &mut results)
-            .map_err(|fault| DarknightError::GpuFault { layer_id, phase: "forward", fault })
-            .and_then(|()| {
-                self.absorb_worker_faults(layer_id, "forward", &jobs, &mut results, &mut outputs)
-            });
-        self.ws.give(results);
+        self.stats.linear_jobs += s_cols as u64;
+        s.results = self.ws.take_cleared(s_cols);
+        s.outputs = self.ws.take_cleared(s_cols);
+        self.cluster
+            .execute_into(layer_id, &s.jobs, &mut s.results)
+            .map_err(|fault| DarknightError::GpuFault { layer_id, phase: "forward", fault })?;
+        let jobs = &s.jobs;
+        self.absorb_worker_faults(layer_id, "forward", &mut s.results, &mut s.outputs, |_, j| {
+            jobs[j].execute()
+        })?;
         drop(sp);
-        if let Err(e) = executed {
-            let _ = self.enclave.release(work_bytes);
-            self.recycle_jobs(jobs);
-            self.cluster.recycle_outputs(&mut outputs);
-            self.ws.give(outputs);
-            self.give_rows(inputs_q);
-            if let Some(rows) = noise.take() {
-                self.give_rows(rows);
-            }
-            self.ws.give(norms);
-            return Err(e);
-        }
-        let out_shape = self.ws.take_shape(outputs[0].shape());
-        let out_rest: usize = out_shape.iter().product();
+        let out_rest = s.outputs[0].len();
         self.stats.bytes_from_gpus += (s_cols * out_rest * 8) as u64;
         if self.scheme.has_integrity() {
             self.stats.integrity_checks += 1;
         }
         let sp = dk_obs::span(dk_obs::Stage::Decode, batch, ordinal);
-        let decoded = match self.decode_forward_repairing(&jobs, &mut outputs, layer_id) {
-            Ok(d) => d,
-            Err(e) => {
-                // Don't leak the charged working set on an aborted
-                // batch: serving reuses one session across unboundedly
-                // many batches, so a leak here would grow
-                // `current_bytes` monotonically under attack and turn
-                // every later honest batch into pure paging traffic.
-                let _ = self.enclave.release(work_bytes);
-                self.recycle_jobs(jobs);
-                self.cluster.recycle_outputs(&mut outputs);
-                self.ws.give(outputs);
-                self.ws.give_shape(out_shape);
-                self.give_rows(inputs_q);
-                if let Some(rows) = noise.take() {
-                    self.give_rows(rows);
-                }
-                self.ws.give(norms);
-                return Err(e);
-            }
-        };
+        s.rows = self.decode_forward_repairing(&s.jobs, &mut s.outputs, layer_id)?;
         drop(sp);
-        // Close the round-trip: worker outputs return to the worker
-        // pools that produced them, the job encodings to the session's.
-        self.cluster.recycle_outputs(&mut outputs);
-        self.ws.give(outputs);
-        self.recycle_jobs(jobs);
-        self.stats.decoded_elems += (decoded.len() * out_rest) as u64;
-        let mut scales: Vec<f32> = self.ws.take_cleared(k);
-        scales.extend(norms.iter().map(|&n| norm_w * n));
-        let norm_x0 = norms[0];
-        self.ws.give(norms);
-        let ctx = if !retain {
-            // Non-retaining passes (inference in either scale mode)
-            // never revisit this layer with a backward spot check, so
-            // the whole working set is released and the
-            // quantization/noise rows go straight back to the pool.
-            self.enclave.release(work_bytes)?;
-            self.give_rows(inputs_q);
-            if let Some(rows) = noise.take() {
-                self.give_rows(rows);
+        self.stats.decoded_elems += (s.rows.len() * out_rest) as u64;
+        // Dequantize row `i` with its scale `norm_w · norm_x_i` (all
+        // equal in shared mode) into `y: [K, ...]`, then add the bias.
+        let mut y_shape = self.ws.take_shape(s.outputs[0].shape());
+        y_shape[0] = k;
+        let mut y = Tensor::from_parts(y_shape, self.ws.take_zeroed::<f32>(k * out_rest));
+        for (i, (dec, &norm_x)) in s.rows.iter().zip(&s.norms).enumerate() {
+            let scale = norm_w * norm_x;
+            for (dst, &v) in y.batch_item_mut(i).iter_mut().zip(dec) {
+                *dst = quant.dequantize_product(v) as f32 * scale;
             }
-            None
-        } else {
-            // Transient working set released; the retained context
-            // (noise + quantized inputs for the backward spot check)
-            // stays charged.
+        }
+        layer.add_bias(&mut y);
+        self.stats.nonlinear_elems += y.len() as u64;
+        if retain {
+            // The transient working set goes back at exit; the retained
+            // context (noise + quantized inputs for the backward spot
+            // check) stays charged until it retires.
             let retained = (m + k) * rest * 8;
-            self.enclave.release(work_bytes.saturating_sub(retained))?;
-            Some(LinearCtx {
-                norm_x: norm_x0,
+            s.work_bytes -= retained;
+            let ctx = LinearCtx {
+                norm_x: s.norms[0],
                 norm_w,
                 input_shape: x.shape().to_vec(),
                 weights_q,
-                noise: noise.take().expect("retaining pass materializes noise"),
-                inputs_q,
+                noise: std::mem::take(&mut s.noise),
+                inputs_q: std::mem::take(&mut s.inputs_q),
                 enclave_bytes: retained,
-            })
-        };
-        Ok((decoded, scales, out_shape, ctx))
+            };
+            self.ctxs.insert(layer_id, ctx);
+        }
+        Ok(y)
     }
 
     /// Folds per-worker faults (loss, timeout, remote refusal) out of an
     /// execution round. With recovery enabled, a faulty worker is
     /// treated exactly like a tampering one: quarantined, and its output
-    /// slot filled by TEE recomputation of the *explicit* job, so the
+    /// slot filled by the TEE's own `recompute` of that job, so the
     /// decode downstream sees a complete, honest result set. Without
     /// recovery the fault is surfaced as a fail-closed
     /// [`DarknightError::GpuFault`].
@@ -906,9 +1012,9 @@ impl<X: GpuExec> DarknightSession<X> {
         &mut self,
         layer_id: u64,
         phase: &'static str,
-        jobs: &[LinearJob],
         results: &mut Vec<dk_gpu::WorkerResult>,
         outputs: &mut Vec<Tensor<F25>>,
+        mut recompute: impl FnMut(&mut Self, usize) -> Tensor<F25>,
     ) -> Result<(), DarknightError> {
         let mut repaired = false;
         for (j, r) in results.drain(..).enumerate() {
@@ -919,7 +1025,7 @@ impl<X: GpuExec> DarknightSession<X> {
                         return Err(DarknightError::GpuFault { layer_id, phase, fault });
                     }
                     self.quarantine(fault.worker().unwrap_or(WorkerId(j)));
-                    outputs.push(jobs[j].execute());
+                    outputs.push(recompute(self, j));
                     repaired = true;
                 }
             }
@@ -960,86 +1066,6 @@ impl<X: GpuExec> DarknightSession<X> {
         }
     }
 
-    fn forward_conv(
-        &mut self,
-        layer_id: u64,
-        conv: &mut Conv2d,
-        x: &Tensor<f32>,
-        train: bool,
-        per_sample: bool,
-    ) -> Result<Tensor<f32>, DarknightError> {
-        let shape = *conv.shape();
-        let enc_shape = [1, x.shape()[1], x.shape()[2], x.shape()[3]];
-        let (decoded, scales, out_shape, ctx) = self.offload_forward(
-            layer_id,
-            x,
-            conv.weights(),
-            move |w, t| LinearJob::ConvForward { weights: w, x: t, shape },
-            &shape.weight_shape(),
-            &enc_shape,
-            per_sample,
-            train && !per_sample,
-        )?;
-        let k = self.cfg.k();
-        let q = self.cfg.quant();
-        let y_shape = [k, out_shape[1], out_shape[2], out_shape[3]];
-        self.ws.give_shape(out_shape);
-        let mut y = self.ws.take_tensor(&y_shape);
-        for (i, (dec, &scale)) in decoded.iter().zip(&scales).enumerate() {
-            for (dst, &v) in y.batch_item_mut(i).iter_mut().zip(dec) {
-                *dst = q.dequantize_product(v) as f32 * scale;
-            }
-        }
-        self.give_rows(decoded);
-        self.ws.give(scales);
-        ops::add_bias_nchw(&mut y, conv.bias().as_slice());
-        self.stats.nonlinear_elems += y.len() as u64;
-        if let Some(ctx) = ctx {
-            self.ctxs.insert(layer_id, ctx);
-        }
-        Ok(y)
-    }
-
-    fn forward_dense(
-        &mut self,
-        layer_id: u64,
-        dense: &mut Dense,
-        x: &Tensor<f32>,
-        train: bool,
-        per_sample: bool,
-    ) -> Result<Tensor<f32>, DarknightError> {
-        let in_f = dense.in_features();
-        let out_f = dense.out_features();
-        let enc_shape = [1, in_f];
-        let (decoded, scales, out_shape, ctx) = self.offload_forward(
-            layer_id,
-            x,
-            dense.weights(),
-            move |w, t| LinearJob::DenseForward { weights: w, x: t },
-            &[out_f, in_f],
-            &enc_shape,
-            per_sample,
-            train && !per_sample,
-        )?;
-        self.ws.give_shape(out_shape);
-        let k = self.cfg.k();
-        let q = self.cfg.quant();
-        let mut y = self.ws.take_tensor(&[k, out_f]);
-        for (i, (dec, &scale)) in decoded.iter().zip(&scales).enumerate() {
-            for (dst, &v) in y.batch_item_mut(i).iter_mut().zip(dec) {
-                *dst = q.dequantize_product(v) as f32 * scale;
-            }
-        }
-        self.give_rows(decoded);
-        self.ws.give(scales);
-        ops::add_bias_rows(&mut y, dense.bias().as_slice());
-        self.stats.nonlinear_elems += y.len() as u64;
-        if let Some(ctx) = ctx {
-            self.ctxs.insert(layer_id, ctx);
-        }
-        Ok(y)
-    }
-
     // -----------------------------------------------------------------
     // Per-sample-scale inference (serving mode)
     // -----------------------------------------------------------------
@@ -1075,13 +1101,7 @@ impl<X: GpuExec> DarknightSession<X> {
         model: &mut Sequential,
         x: &Tensor<f32>,
     ) -> Result<Tensor<f32>, DarknightError> {
-        if x.shape()[0] != self.cfg.k() {
-            return Err(DarknightError::BatchShape {
-                expected: self.cfg.k(),
-                actual: x.shape()[0],
-            });
-        }
-        self.start_pass();
+        self.start_pass(x)?;
         self.forward_layers(model.layers_mut(), x, false, true)
     }
 
@@ -1098,33 +1118,18 @@ impl<X: GpuExec> DarknightSession<X> {
         for layer in layers.iter_mut().rev() {
             let grad = cur.as_ref().unwrap_or(dy);
             let next = match layer {
-                Layer::Conv2d(conv) => {
-                    let id = self.untake_id();
-                    self.backward_conv(id, conv, grad)
-                }
-                Layer::Dense(dense) => {
-                    let id = self.untake_id();
-                    self.backward_dense(id, dense, grad)
-                }
+                Layer::Conv2d(l) => self.offload_backward(&mut Bilinear::Conv(l), grad),
+                Layer::Dense(l) => self.offload_backward(&mut Bilinear::Dense(l), grad),
                 Layer::Residual(res) => self.backward_residual(res, grad),
                 other => {
                     self.stats.nonlinear_elems += grad.len() as u64;
                     Ok(other.backward_ws(grad, &mut self.ws))
                 }
             };
-            let next = match next {
-                Ok(n) => n,
-                Err(e) => {
-                    if let Some(prev) = cur.take() {
-                        self.ws.give_tensor(prev);
-                    }
-                    return Err(e);
-                }
-            };
             if let Some(prev) = cur.take() {
                 self.ws.give_tensor(prev);
             }
-            cur = Some(next);
+            cur = Some(next?);
         }
         Ok(cur.unwrap_or_else(|| dy.clone()))
     }
@@ -1132,36 +1137,23 @@ impl<X: GpuExec> DarknightSession<X> {
     /// The residual-block arm of
     /// [`DarknightSession::backward_layers`]. Exact mirror of forward
     /// id assignment: forward visited main then shortcut, so backward
-    /// visits shortcut then main; intermediates are recycled on every
-    /// path.
+    /// visits shortcut then main.
     fn backward_residual(
         &mut self,
         res: &mut Residual,
         grad: &Tensor<f32>,
     ) -> Result<Tensor<f32>, DarknightError> {
-        let ds = if res.shortcut().is_empty() {
-            None
+        let dx = if res.shortcut().is_empty() {
+            let mut dm = self.backward_layers(res.main_mut(), grad)?;
+            dm.add_assign(grad);
+            dm
         } else {
-            Some(self.backward_layers(res.shortcut_mut(), grad)?)
+            let ds = self.backward_layers(res.shortcut_mut(), grad)?;
+            let dm = self.backward_layers(res.main_mut(), grad);
+            self.join_branches(ds, dm)?
         };
-        let mut dm = match self.backward_layers(res.main_mut(), grad) {
-            Ok(dm) => dm,
-            Err(e) => {
-                if let Some(s) = ds {
-                    self.ws.give_tensor(s);
-                }
-                return Err(e);
-            }
-        };
-        self.stats.nonlinear_elems += dm.len() as u64;
-        match ds {
-            Some(s) => {
-                dm.add_assign(&s);
-                self.ws.give_tensor(s);
-            }
-            None => dm.add_assign(grad),
-        }
-        Ok(dm)
+        self.stats.nonlinear_elems += dx.len() as u64;
+        Ok(dx)
     }
 
     fn quarantine(&mut self, w: WorkerId) {
@@ -1182,75 +1174,106 @@ impl<X: GpuExec> DarknightSession<X> {
         self.next_id
     }
 
-    /// Shared backward machinery: decodes the aggregate weight gradient
-    /// and (optionally) performs the spare-worker integrity checks.
-    #[allow(clippy::too_many_arguments)]
+    /// One linear layer's backward cycle: the bias gradient in the TEE,
+    /// the aggregate weight gradient and the data gradient offloaded and
+    /// verified. The layer's retained context leaves the map here and
+    /// retires exactly once after the offload, whatever its outcome.
     fn offload_backward(
         &mut self,
-        layer_id: u64,
+        layer: &mut Bilinear<'_>,
         dy: &Tensor<f32>,
-        wgrad_job: impl Fn(Arc<Tensor<F25>>, Vec<F25>) -> LinearJob,
-        explicit_wgrad_job: impl Fn(Tensor<F25>, Tensor<F25>) -> LinearJob,
-        data_job: impl Fn(Arc<Tensor<F25>>) -> LinearJob,
-        enc_shape: &[usize],
+    ) -> Result<Tensor<f32>, DarknightError> {
+        let layer_id = self.untake_id();
+        layer.accumulate_bias_grad(dy);
+        self.stats.nonlinear_elems += dy.len() as u64;
+        let Some(ctx) = self.ctxs.remove(&layer_id) else {
+            return Err(DarknightError::MissingForwardContext { layer_id });
+        };
+        let mut s = Scratch::default();
+        let dx = self.backward_cycle(&mut s, layer_id, layer, dy, &ctx);
+        self.reclaim(s);
+        self.recycle_ctx(ctx);
+        dx
+    }
+
+    /// The weight-gradient job for encoding `j` with `x̄_j` regenerated
+    /// inside the TEE from the retained context — encodings are
+    /// row-independent, so one coefficient row reproduces it bit for bit
+    /// at 1/S of a whole-batch re-encode. Its input is pool-backed: the
+    /// job belongs in the call's [`Scratch`] once run.
+    fn explicit_wgrad_job(
+        &mut self,
+        layer: &Bilinear<'_>,
         ctx: &LinearCtx,
-    ) -> Result<(Vec<F25>, f32, Tensor<F25>), DarknightError> {
+        delta_q: &Tensor<F25>,
+        j: usize,
+    ) -> LinearJob {
+        let row = self.scheme.encode_row_ws(j, &ctx.inputs_q, &ctx.noise, &mut self.ws);
+        let mut shape = self.ws.take_shape(&ctx.input_shape);
+        shape[0] = 1;
+        let dtilde = dk_gpu::job::beta_combine(delta_q, &self.scheme.beta_row(j));
+        layer.wgrad_job(dtilde, Tensor::from_parts(shape, row))
+    }
+
+    /// The body of [`DarknightSession::offload_backward`]; every buffer
+    /// it takes is held in `s`.
+    fn backward_cycle(
+        &mut self,
+        s: &mut Scratch,
+        layer_id: u64,
+        layer: &mut Bilinear<'_>,
+        dy: &Tensor<f32>,
+        ctx: &LinearCtx,
+    ) -> Result<Tensor<f32>, DarknightError> {
         let k = self.cfg.k();
         let m = self.cfg.m();
         let s_sq = k + m;
         let batch = self.batch_index;
-        let bwd_ordinal = layer_id - self.ctx_base;
-        let sp = dk_obs::span(dk_obs::Stage::Quantize, batch, bwd_ordinal);
+        let ordinal = layer_id - self.ctx_base;
+        let sp = dk_obs::span(dk_obs::Stage::Quantize, batch, ordinal);
         let (dq_flat, norm_d) = self.normalize_quantize(dy.as_slice())?;
         let delta_q = Arc::new(Tensor::from_vec(dy.shape(), dq_flat));
         drop(sp);
-        let sp = dk_obs::span(dk_obs::Stage::Dispatch, batch, bwd_ordinal);
-        // 1) Aggregate weight gradient via the encoded scheme.
-        let jobs: Vec<LinearJob> =
-            (0..s_sq).map(|j| wgrad_job(delta_q.clone(), self.scheme.beta_row(j))).collect();
-        self.stats.linear_jobs += jobs.len() as u64;
-        self.stats.bytes_to_gpus += (s_sq * delta_q.len() * 8) as u64;
-        let mut results: Vec<dk_gpu::WorkerResult> = self.ws.take_cleared(s_sq);
-        if let Err(fault) = self.cluster.execute_into(layer_id, &jobs, &mut results) {
-            self.ws.give(results);
-            return Err(DarknightError::GpuFault { layer_id, phase: "backward", fault });
+        let sp = dk_obs::span(dk_obs::Stage::Dispatch, batch, ordinal);
+        // 1) Aggregate weight gradient via the encoded scheme. The job
+        //    list has room for one TEE-checked job per encoding for
+        //    repair and one for verification, so it never regrows.
+        s.jobs = self.ws.take_cleared(3 * s_sq);
+        for j in 0..s_sq {
+            s.jobs.push(layer.stored_wgrad_job(layer_id, delta_q.clone(), self.scheme.beta_row(j)));
         }
+        self.stats.linear_jobs += s_sq as u64;
+        self.stats.bytes_to_gpus += (s_sq * delta_q.len() * 8) as u64;
+        s.results = self.ws.take_cleared(s_sq);
+        s.outputs = self.ws.take_cleared(s_sq);
+        self.cluster
+            .execute_into(layer_id, &s.jobs, &mut s.results)
+            .map_err(|fault| DarknightError::GpuFault { layer_id, phase: "backward", fault })?;
         // Fold out lost/refusing workers. Backward jobs are `*Stored`
         // (they run against state the worker holds), so the TEE cannot
         // replay the job itself — instead it reconstructs the worker's
         // encoding x̄_j from the retained context (determinism by
         // derivation) and computes Eq_j explicitly.
-        let mut eqs: Vec<Tensor<F25>> = self.ws.take_cleared(s_sq);
-        let mut repaired = false;
-        for (j, r) in results.drain(..).enumerate() {
-            match r {
-                Ok(t) => eqs.push(t),
-                Err(fault) => {
-                    if !self.cfg.recovery() {
-                        return Err(DarknightError::GpuFault { layer_id, phase: "backward", fault });
-                    }
-                    self.quarantine(fault.worker().unwrap_or(WorkerId(j)));
-                    let row =
-                        self.scheme.encode_row_ws(j, &ctx.inputs_q, &ctx.noise, &mut self.ws);
-                    let xbar = Tensor::from_vec(enc_shape, row);
-                    let dtilde = dk_gpu::job::beta_combine(&delta_q, &self.scheme.beta_row(j));
-                    eqs.push(explicit_wgrad_job(dtilde, xbar).execute());
-                    repaired = true;
-                }
-            }
-        }
-        if repaired {
-            self.stats.recoveries += 1;
-        }
-        self.ws.give(results);
+        let jobs = &mut s.jobs;
+        self.absorb_worker_faults(
+            layer_id,
+            "backward",
+            &mut s.results,
+            &mut s.outputs,
+            |this, j| {
+                let job = this.explicit_wgrad_job(layer, ctx, &delta_q, j);
+                let eq = job.execute();
+                jobs.push(job);
+                eq
+            },
+        )?;
         drop(sp);
-        let sp = dk_obs::span(dk_obs::Stage::Verify, batch, bwd_ordinal);
-        let eq_len = eqs[0].len();
-        self.stats.bytes_from_gpus += (s_sq * eq_len * 8) as u64;
+        let sp = dk_obs::span(dk_obs::Stage::Verify, batch, ordinal);
+        let eqs = &mut s.outputs;
+        self.stats.bytes_from_gpus += (s_sq * eqs[0].len() * 8) as u64;
         // 2) Backward integrity. `j*` is derived per (batch, layer), so
         //    it is identical whether the batch runs sequentially or on a
         //    pipeline lane — and whether or not recovery is enabled.
-        let ordinal = layer_id - self.ctx_base;
         let jstar = self.layer_rng(DOMAIN_JSTAR, ordinal).index(s_sq);
         if self.cfg.recovery() && self.scheme.has_integrity() {
             // Deterministic duplicate-dispatch verification (recovery
@@ -1261,24 +1284,21 @@ impl<X: GpuExec> DarknightSession<X> {
             // neighbouring encoding, so an M-tolerant configuration
             // effectively tolerates ⌊M/2⌋ colluders in this mode.
             self.stats.integrity_checks += 1;
-            let enc = self.scheme.encode_ws(&ctx.inputs_q, &ctx.noise, &mut self.ws);
-            for j in 0..s_sq {
-                let xbar = Tensor::from_vec(enc_shape, enc[j].clone());
-                let dtilde = dk_gpu::job::beta_combine(&delta_q, &self.scheme.beta_row(j));
-                let job = explicit_wgrad_job(dtilde, xbar);
+            for (j, eq) in eqs.iter_mut().enumerate() {
+                let job = self.explicit_wgrad_job(layer, ctx, &delta_q, j);
                 let verifier = WorkerId((j + 1) % s_sq);
                 match self.cluster.execute_on(verifier, &job) {
                     Ok(dup) => {
-                        if dup != eqs[j] {
+                        if dup != *eq {
                             // TEE ground truth identifies the liar(s).
                             let truth = job.execute();
-                            if truth != eqs[j] {
+                            if truth != *eq {
                                 self.quarantine(WorkerId(j));
                             }
                             if truth != dup {
                                 self.quarantine(verifier);
                             }
-                            eqs[j] = truth;
+                            *eq = truth;
                             self.stats.recoveries += 1;
                         }
                     }
@@ -1287,58 +1307,50 @@ impl<X: GpuExec> DarknightSession<X> {
                         // its verification duty directly.
                         self.quarantine(fault.worker().unwrap_or(verifier));
                         let truth = job.execute();
-                        if truth != eqs[j] {
+                        if truth != *eq {
                             self.quarantine(WorkerId(j));
-                            eqs[j] = truth;
+                            *eq = truth;
                         }
                         self.stats.recoveries += 1;
                     }
                 }
+                s.jobs.push(job);
             }
-            self.give_rows(enc);
         } else if self.scheme.has_integrity() {
-            // Spare-worker spot check (probabilistic, the base mode).
+            // Spare-worker spot check (probabilistic, the base mode):
+            // only x̄_{j*} is regenerated.
             self.stats.integrity_checks += 1;
-            // Regenerate only x̄_{j*} inside the TEE from retained state
-            // — encodings are row-independent, so a single coefficient
-            // row reproduces it bit-for-bit at 1/S of the old
-            // whole-batch re-encode.
-            let row = self.scheme.encode_row_ws(jstar, &ctx.inputs_q, &ctx.noise, &mut self.ws);
-            let xbar = Tensor::from_vec(enc_shape, row);
-            let dtilde = dk_gpu::job::beta_combine(&delta_q, &self.scheme.beta_row(jstar));
+            let job = self.explicit_wgrad_job(layer, ctx, &delta_q, jstar);
             let spare = WorkerId(self.cluster.num_workers() - 1);
+            let check = self.cluster.execute_on(spare, &job);
+            s.jobs.push(job);
             // Recovery is off in this branch, so a lost spot-checker
             // fails closed: without the check the batch is unverified.
-            let check = self
-                .cluster
-                .execute_on(spare, &explicit_wgrad_job(dtilde, xbar))
-                .map_err(|fault| DarknightError::GpuFault { layer_id, phase: "backward", fault })?;
+            let check = check.map_err(|fault| DarknightError::GpuFault {
+                layer_id,
+                phase: "backward",
+                fault,
+            })?;
             if check != eqs[jstar] {
-                let mismatches = check
-                    .as_slice()
-                    .iter()
-                    .zip(eqs[jstar].as_slice())
-                    .filter(|(a, b)| a != b)
-                    .count();
                 return Err(DarknightError::IntegrityViolation {
                     layer_id,
                     phase: "backward",
-                    mismatches,
+                    mismatches: mismatches(&check, &eqs[jstar]),
                 });
             }
         }
         drop(sp);
-        let sp = dk_obs::span(dk_obs::Stage::Decode, batch, bwd_ordinal);
+        let sp = dk_obs::span(dk_obs::Stage::Decode, batch, ordinal);
         // The decode reads the Eq tensors in place; afterwards their
-        // buffers go back to the worker pools that produced them.
-        let grad_field = self.scheme.decode_backward_ws(&eqs, &mut self.ws);
-        self.stats.decoded_elems += grad_field.len() as u64;
-        self.cluster.recycle_outputs(&mut eqs);
-        self.ws.give(eqs);
+        // buffers go straight back to the worker pools that produced
+        // them, ahead of the data-gradient job.
+        s.flat = self.scheme.decode_backward_ws(&s.outputs, &mut self.ws);
+        self.stats.decoded_elems += s.flat.len() as u64;
+        self.cluster.recycle_outputs(&mut s.outputs);
         drop(sp);
         // 3) Data gradient: unencoded offload (worker 0), redundantly
         //    recomputed on the spare when integrity is on.
-        let dj = data_job(delta_q.clone());
+        let dj = layer.data_grad_job(ctx.weights_q.clone(), (*delta_q).clone(), &ctx.input_shape);
         self.stats.linear_jobs += 1;
         let mut dx_field = match self.cluster.execute_on(WorkerId(0), &dj) {
             Ok(t) => t,
@@ -1358,29 +1370,22 @@ impl<X: GpuExec> DarknightSession<X> {
             match self.cluster.execute_on(spare, &dj) {
                 Ok(check) => {
                     if check != dx_field {
-                        if self.cfg.recovery() {
-                            let truth = dj.execute();
-                            if truth != dx_field {
-                                self.quarantine(WorkerId(0));
-                            }
-                            if truth != check {
-                                self.quarantine(spare);
-                            }
-                            dx_field = truth;
-                            self.stats.recoveries += 1;
-                        } else {
-                            let mismatches = check
-                                .as_slice()
-                                .iter()
-                                .zip(dx_field.as_slice())
-                                .filter(|(a, b)| a != b)
-                                .count();
+                        if !self.cfg.recovery() {
                             return Err(DarknightError::IntegrityViolation {
                                 layer_id,
                                 phase: "backward",
-                                mismatches,
+                                mismatches: mismatches(&check, &dx_field),
                             });
                         }
+                        let truth = dj.execute();
+                        if truth != dx_field {
+                            self.quarantine(WorkerId(0));
+                        }
+                        if truth != check {
+                            self.quarantine(spare);
+                        }
+                        dx_field = truth;
+                        self.stats.recoveries += 1;
                     }
                 }
                 Err(fault) => {
@@ -1404,133 +1409,24 @@ impl<X: GpuExec> DarknightSession<X> {
             }
         }
         self.stats.bytes_from_gpus += (dx_field.len() * 8) as u64;
-        Ok((grad_field, norm_d, dx_field))
-    }
-
-    fn backward_conv(
-        &mut self,
-        layer_id: u64,
-        conv: &mut Conv2d,
-        dy: &Tensor<f32>,
-    ) -> Result<Tensor<f32>, DarknightError> {
-        // Bias gradient: cheap float reduction inside the TEE.
-        let bg = ops::bias_grad_nchw(dy);
-        conv.accumulate_bias_grad(&Tensor::from_vec(&[bg.len()], bg));
-        self.stats.nonlinear_elems += dy.len() as u64;
-        let Some(ctx) = self.ctxs.remove(&layer_id) else {
-            return Err(DarknightError::MissingForwardContext { layer_id });
-        };
-        let shape = *conv.shape();
-        let input_hw = (ctx.input_shape[2], ctx.input_shape[3]);
-        let enc_shape = [1, ctx.input_shape[1], ctx.input_shape[2], ctx.input_shape[3]];
-        let weights_q = ctx.weights_q.clone();
-        let offloaded = self.offload_backward(
-            layer_id,
-            dy,
-            |delta, beta| LinearJob::ConvWeightGradStored {
-                delta_batch: delta,
-                beta,
-                layer_id,
-                shape,
-            },
-            |dtilde, xbar| LinearJob::ConvWeightGrad { delta: dtilde, x: xbar, shape },
-            move |delta| LinearJob::ConvBackwardData {
-                weights: weights_q.clone(),
-                delta: (*delta).clone(),
-                shape,
-                input_hw,
-            },
-            &enc_shape,
-            &ctx,
-        );
-        let (grad_field, norm_d, dx_field) = match offloaded {
-            Ok(v) => v,
-            Err(e) => {
-                // The ctx left the map above; release its retained
-                // bytes so an aborted step doesn't leak them, and
-                // recycle its buffers.
-                let _ = self.enclave.release(ctx.enclave_bytes);
-                self.recycle_ctx(ctx);
-                return Err(e);
-            }
-        };
         let q = self.cfg.quant();
         // Aggregate ∇W: dequantize and unscale. The 1/K of Eq. 3 is
         // already folded into the mean-reduced loss gradients, so no
         // extra averaging happens here.
         let wscale = norm_d * ctx.norm_x;
-        let mut gw = self.ws.take_tensor::<f32>(&shape.weight_shape());
-        assert_eq!(grad_field.len(), gw.len(), "decoded weight-gradient length mismatch");
-        for (dst, &v) in gw.as_mut_slice().iter_mut().zip(grad_field.iter()) {
+        let mut gw = self.ws.take_tensor::<f32>(ctx.weights_q.shape());
+        assert_eq!(s.flat.len(), gw.len(), "decoded weight-gradient length mismatch");
+        for (dst, &v) in gw.as_mut_slice().iter_mut().zip(&s.flat) {
             *dst = q.dequantize_product(v) as f32 * wscale;
         }
-        conv.accumulate_weight_grad(&gw);
+        layer.accumulate_weight_grad(&gw);
         self.ws.give_tensor(gw);
-        self.ws.give(grad_field);
         // dx: dequantize, unscale by norm_d · norm_w.
         let dscale = norm_d * ctx.norm_w;
         let mut dx = self.ws.take_tensor::<f32>(dx_field.shape());
         for (dst, &v) in dx.as_mut_slice().iter_mut().zip(dx_field.as_slice()) {
             *dst = q.dequantize_product(v) as f32 * dscale;
         }
-        let _ = self.enclave.release(ctx.enclave_bytes);
-        self.recycle_ctx(ctx);
-        Ok(dx)
-    }
-
-    fn backward_dense(
-        &mut self,
-        layer_id: u64,
-        dense: &mut Dense,
-        dy: &Tensor<f32>,
-    ) -> Result<Tensor<f32>, DarknightError> {
-        let bg = ops::bias_grad_rows(dy);
-        dense.accumulate_bias_grad(&Tensor::from_vec(&[bg.len()], bg));
-        self.stats.nonlinear_elems += dy.len() as u64;
-        let Some(ctx) = self.ctxs.remove(&layer_id) else {
-            return Err(DarknightError::MissingForwardContext { layer_id });
-        };
-        let in_f = dense.in_features();
-        let out_f = dense.out_features();
-        let enc_shape = [1, in_f];
-        let weights_q = ctx.weights_q.clone();
-        let offloaded = self.offload_backward(
-            layer_id,
-            dy,
-            |delta, beta| LinearJob::DenseWeightGradStored { delta_batch: delta, beta, layer_id },
-            |dtilde, xbar| LinearJob::DenseWeightGrad { delta: dtilde, x: xbar },
-            move |delta| LinearJob::DenseBackwardData {
-                weights: weights_q.clone(),
-                delta: (*delta).clone(),
-            },
-            &enc_shape,
-            &ctx,
-        );
-        let (grad_field, norm_d, dx_field) = match offloaded {
-            Ok(v) => v,
-            Err(e) => {
-                let _ = self.enclave.release(ctx.enclave_bytes);
-                self.recycle_ctx(ctx);
-                return Err(e);
-            }
-        };
-        let q = self.cfg.quant();
-        let wscale = norm_d * ctx.norm_x;
-        let mut gw = self.ws.take_tensor::<f32>(&[out_f, in_f]);
-        assert_eq!(grad_field.len(), gw.len(), "decoded weight-gradient length mismatch");
-        for (dst, &v) in gw.as_mut_slice().iter_mut().zip(grad_field.iter()) {
-            *dst = q.dequantize_product(v) as f32 * wscale;
-        }
-        dense.accumulate_weight_grad(&gw);
-        self.ws.give_tensor(gw);
-        self.ws.give(grad_field);
-        let dscale = norm_d * ctx.norm_w;
-        let mut dx = self.ws.take_tensor::<f32>(dx_field.shape());
-        for (dst, &v) in dx.as_mut_slice().iter_mut().zip(dx_field.as_slice()) {
-            *dst = q.dequantize_product(v) as f32 * dscale;
-        }
-        let _ = self.enclave.release(ctx.enclave_bytes);
-        self.recycle_ctx(ctx);
         Ok(dx)
     }
 }
@@ -1792,6 +1688,96 @@ mod tests {
         // The session recovers fully once the fleet behaves.
         session.cluster_mut().worker_mut(WorkerId(1)).set_behavior(Behavior::Honest);
         session.private_inference_per_sample(&mut model, &input(2)).unwrap();
+    }
+
+    /// A warm training session (integrity on, recovery off) and the
+    /// session-pool bytes it holds between steps: the model's forward
+    /// caches ping-pong through the pool, so this level is steady.
+    fn warm_training_session(model: &mut Sequential, seed: u64) -> (DarknightSession, usize) {
+        let cfg = DarknightConfig::new(2, 1).with_integrity(true);
+        let cluster = GpuCluster::honest(cfg.workers_required(), seed);
+        let mut session = DarknightSession::new(cfg, cluster).unwrap();
+        let mut sgd = Sgd::new(0.01);
+        for _ in 0..2 {
+            session.train_step(model, &input(2), &[0, 2], &mut sgd).unwrap();
+        }
+        let live = session.workspace_stats().live_bytes;
+        (session, live)
+    }
+
+    /// Runs a training forward on honest workers, then a backward with
+    /// worker 0 switched to `turn(jobs it has run so far)`, and returns
+    /// the backward's error.
+    fn backward_abort(
+        session: &mut DarknightSession,
+        model: &mut Sequential,
+        turn: impl FnOnce(u64) -> Behavior,
+    ) -> DarknightError {
+        session.begin_virtual_batch();
+        let logits = session.private_forward(model, &input(2), true).unwrap();
+        let (_, dl) = softmax_cross_entropy(&logits, &[0, 2]);
+        session.recycle_output(logits);
+        let done = session.cluster().worker(WorkerId(0)).jobs_executed();
+        session.cluster_mut().worker_mut(WorkerId(0)).set_behavior(turn(done));
+        let err = session.private_backward(model, &dl).unwrap_err();
+        session.cluster_mut().worker_mut(WorkerId(0)).set_behavior(Behavior::Honest);
+        err
+    }
+
+    /// After the batch retires, the enclave holds nothing and every
+    /// session-pool buffer the pass took is back.
+    fn assert_reclaimed(session: &mut DarknightSession, live_before: usize, what: &str) {
+        session.begin_virtual_batch();
+        assert_eq!(session.enclave_stats().current_bytes, 0, "{what}: enclave bytes leaked");
+        assert_eq!(
+            session.workspace_stats().live_bytes,
+            live_before,
+            "{what}: session-pool buffers left checked out"
+        );
+    }
+
+    #[test]
+    fn backward_spot_check_abort_returns_every_buffer() {
+        let mut model = small_model(60);
+        let (mut session, live) = warm_training_session(&mut model, 61);
+        let err = backward_abort(&mut session, &mut model, |_| Behavior::AdditiveNoise);
+        assert!(matches!(err, DarknightError::IntegrityViolation { phase: "backward", .. }));
+        assert_reclaimed(&mut session, live, "spot-check abort");
+    }
+
+    /// Worker 0 dies at its weight-gradient job, or one job later at the
+    /// data-gradient job (after the weight gradient was decoded).
+    #[test]
+    fn backward_gpu_fault_abort_returns_every_buffer() {
+        for honest_jobs in [0, 1] {
+            let mut model = small_model(62);
+            let (mut session, live) = warm_training_session(&mut model, 63);
+            let err = backward_abort(&mut session, &mut model, |done| Behavior::Crash {
+                after: done + honest_jobs,
+            });
+            assert!(matches!(err, DarknightError::GpuFault { phase: "backward", .. }));
+            assert_reclaimed(&mut session, live, "backward GPU-fault abort");
+        }
+    }
+
+    #[test]
+    fn successful_train_step_returns_every_buffer() {
+        let mobile_x = Tensor::from_fn(&[2, 3, 8, 8], |i| ((i % 7) as f32 - 3.0) * 0.1);
+        for (mut model, x, name) in [
+            (small_model(64), input(2), "small"),
+            (mini_mobilenet(8, 4, 65), mobile_x, "mobilenet"),
+        ] {
+            let cfg = DarknightConfig::new(2, 1).with_integrity(true);
+            let cluster = GpuCluster::honest(cfg.workers_required(), 66);
+            let mut session = DarknightSession::new(cfg, cluster).unwrap();
+            let mut sgd = Sgd::new(0.01);
+            for _ in 0..2 {
+                session.train_step(&mut model, &x, &[0, 2], &mut sgd).unwrap();
+            }
+            let live = session.workspace_stats().live_bytes;
+            session.train_step(&mut model, &x, &[0, 2], &mut sgd).unwrap();
+            assert_reclaimed(&mut session, live, name);
+        }
     }
 
     #[test]

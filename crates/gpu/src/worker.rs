@@ -16,14 +16,17 @@ impl std::fmt::Display for WorkerId {
     }
 }
 
-/// Cap on the retained adversary-view record. The privacy audits
-/// consume a few dozen observations; an unbounded log would grow for
-/// the whole lifetime of a training run. Beyond the cap the record
-/// wraps and overwrites the oldest entries — the retained view is a
-/// window of recent traffic, which is exactly what the chi-square
-/// uniformity audit samples. The backing `Vec` is reserved up front so
-/// the record never reallocates, keeping warm steps allocation-steady.
-const OBSERVATION_CAP: usize = 4096;
+/// Cap on the retained adversary-view record, per worker. Every stored
+/// encoding is copied into the record, so the cap alone bounds its
+/// memory over a training run (one encoding per linear layer per
+/// virtual batch). The largest consumer, the multi-round chi-square
+/// uniformity audit, reads 60 observations per worker (12 train-mode
+/// forwards of a 5-layer model), so 128 keeps its whole view. Beyond
+/// the cap the record wraps and overwrites the oldest entries — the
+/// retained view is a window of recent traffic. The backing `Vec` is
+/// reserved up front so the record never reallocates, keeping warm
+/// steps allocation-steady.
+const OBSERVATION_CAP: usize = 128;
 
 /// A simulated accelerator.
 ///
@@ -274,6 +277,23 @@ mod tests {
         assert!(w.stored_encoding(5).is_none());
         // Observation survives clearing (the adversary remembers).
         assert_eq!(w.observations().len(), 1);
+    }
+
+    #[test]
+    fn observation_record_is_capped_and_wraps_oldest_first() {
+        let mut w = GpuWorker::new(WorkerId(0), Behavior::Honest, 6);
+        let extra = 5;
+        for i in 0..OBSERVATION_CAP + extra {
+            w.store_encoding(0, Tensor::from_vec(&[1], vec![F25::new(i as u64)]));
+        }
+        let seen = w.observations();
+        assert_eq!(seen.len(), OBSERVATION_CAP);
+        // The `extra` newest encodings overwrote the `extra` oldest, slot
+        // by slot; every other slot still holds its first occupant.
+        for (slot, obs) in seen.iter().enumerate() {
+            let stored = if slot < extra { OBSERVATION_CAP + slot } else { slot };
+            assert_eq!(obs, &[F25::new(stored as u64)], "slot {slot}");
+        }
     }
 
     #[test]

@@ -166,7 +166,8 @@ impl Workspace {
         buf.clear();
         if buf.capacity() < len {
             self.stats.misses += 1;
-            buf.reserve_exact(len - buf.capacity());
+            // Cleared above, so this reserves `len` elements in total.
+            buf.reserve_exact(len);
         }
         self.stats.live_bytes += buf.capacity() * std::mem::size_of::<T>();
         self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.live_bytes);
@@ -326,6 +327,21 @@ mod tests {
         assert_eq!(t2.get(&[0, 1]), 2.0);
         assert_eq!(ws.stats().misses, misses, "recycled tensor must not allocate");
         ws.give_tensor(t2);
+    }
+
+    /// A pooled buffer too small for a take is regrown to the full
+    /// requested length, so filling it never reallocates behind the
+    /// pool's back and `live_bytes` matches what is checked out.
+    #[test]
+    fn regrown_buffer_covers_the_requested_length() {
+        let mut ws = Workspace::new();
+        let small: Vec<f32> = ws.take_cleared(10);
+        ws.give(small);
+        let mut big: Vec<f32> = ws.take_cleared(100);
+        big.extend(std::iter::repeat_n(1.0, 100));
+        assert_eq!(ws.stats().live_bytes, big.capacity() * 4);
+        ws.give(big);
+        assert_eq!(ws.stats().live_bytes, 0);
     }
 
     #[test]
