@@ -18,12 +18,19 @@
 //! the `dk_obs` registry disabled and enabled, recording the
 //! instrumentation overhead ratio; CI gates it at ≤3%.
 //!
+//! Every run also writes an ungated `system` section: plain, DarKnight
+//! and Slalom inference (Fig. 6a), one Algorithm-2 step per virtual
+//! batch size (Fig. 3), and a serving fill sweep whose responses are
+//! checked bit-exact against `QuantizedReference::forward_solo`.
+//!
 //! Usage: `cargo run --release -p dk_bench --bin dk_bench --
 //! [--fast] [--alloc] [--obs] [--baseline PATH] [--out PATH]`
 
+use dk_baselines::SlalomSession;
 use dk_core::engine::{compare_inference_modes, compare_training_modes, EngineOptions};
 use dk_core::scheme::EncodingScheme;
-use dk_core::DarknightConfig;
+use dk_core::virtual_batch::{LargeBatchReport, LargeBatchTrainer};
+use dk_core::{DarknightConfig, DarknightSession, QuantizedReference};
 use dk_field::{F25, FieldRng, P25};
 use dk_gpu::{GpuCluster, LatencyModel};
 use dk_linalg::conv::conv2d_forward;
@@ -33,7 +40,8 @@ use dk_linalg::{matmul, matmul_a_bt, matmul_at_b, Conv2dShape, Tensor, Workspace
 use dk_nn::arch::mini_vgg;
 use dk_linalg::workspace::{alloc_counts, CountingAllocator};
 use dk_perf::{DeviceProfile, PipelineRow};
-use std::time::Instant;
+use dk_serve::{InferenceRequest, Server, ServerConfig};
+use std::time::{Duration, Instant};
 
 // The --alloc measurements read this via `alloc_counts()`; the shared
 // implementation in dk_linalg keeps this gate and the alloc_regression
@@ -95,6 +103,163 @@ impl Entry {
     }
 }
 
+/// One row of the `system` section: a timed end-to-end operation over
+/// `samples` samples (or served requests), plus any counts it reports.
+struct SystemRow {
+    name: String,
+    samples: usize,
+    ns_per_op: f64,
+    counts: Vec<(&'static str, u64)>,
+}
+
+impl SystemRow {
+    fn new(name: impl Into<String>, samples: usize, ns_per_op: f64) -> Self {
+        Self { name: name.into(), samples, ns_per_op, counts: Vec::new() }
+    }
+    fn samples_per_s(&self) -> f64 {
+        self.samples as f64 / self.ns_per_op * 1e9
+    }
+    fn to_json(&self) -> String {
+        let counts: String = self.counts.iter().map(|(k, v)| format!(", \"{k}\": {v}")).collect();
+        format!(
+            "    {{\"name\": \"{}\", \"samples_per_op\": {}, \"ms_per_op\": {:.3}, \"samples_per_s\": {:.1}{counts}}}",
+            self.name,
+            self.samples,
+            self.ns_per_op / 1e6,
+            self.samples_per_s(),
+        )
+    }
+}
+
+/// The measurements no kernel or pipeline row takes, on 3×8×8 mini
+/// models: (a) Fig. 6a — one 4-sample inference, plain, DarKnight K=4
+/// with and without integrity, and Slalom; (b) Fig. 3 — one Algorithm-2
+/// step over 16 samples per virtual batch size K, with its seal counts;
+/// (c) served bursts of 1/2/4 requests into a K=4, 2-worker server
+/// (25/50/100% fill: partial bursts wait out the aggregation deadline
+/// and pad), against one session fed full batches directly.
+///
+/// # Panics
+///
+/// Panics if any step fails, or if a served response differs from
+/// `QuantizedReference::forward_solo` on the same sample.
+fn system_rows(target_ms: u64) -> Vec<SystemRow> {
+    const HW: usize = 8;
+    let mut rows = Vec::new();
+
+    // (a) Fig. 6a.
+    let x = Tensor::from_fn(&[4, 3, HW, HW], |i| ((i % 11) as f32 - 5.0) * 0.07);
+    let mut model = mini_vgg(HW, 4, 1);
+    rows.push(SystemRow::new(
+        "fig6a/plain",
+        4,
+        time_ns(target_ms, || {
+            std::hint::black_box(model.forward(&x, false));
+        }),
+    ));
+    for (name, cfg) in [
+        ("fig6a/darknight_k4", DarknightConfig::new(4, 1)),
+        ("fig6a/darknight_k4_integrity", DarknightConfig::new(4, 1).with_integrity(true)),
+    ] {
+        let mut session = DarknightSession::new(cfg, GpuCluster::honest(cfg.workers_required(), 2))
+            .expect("fig6a session");
+        let ns = time_ns(target_ms, || {
+            std::hint::black_box(session.private_inference(&mut model, &x).expect("private inference"));
+        });
+        rows.push(SystemRow::new(name, 4, ns));
+    }
+    let mut slalom = SlalomSession::new(GpuCluster::honest(1, 4), false, 5).with_auto_refill(true);
+    slalom.precompute(&mut model, 64).expect("slalom precompute");
+    let ns = time_ns(target_ms, || {
+        std::hint::black_box(slalom.inference(&mut model, &x).expect("slalom inference"));
+    });
+    rows.push(SystemRow::new("fig6a/slalom", 4, ns));
+
+    // (b) Fig. 3: V = 16/K virtual batches, each sealing its gradient
+    // shards out of the enclave before the aggregate reloads them.
+    let xb = Tensor::from_fn(&[16, 3, HW, HW], |i| ((i % 23) as f32 - 11.0) * 0.04);
+    let labels: Vec<usize> = (0..16).map(|i| i % 4).collect();
+    for k in [1usize, 2, 4] {
+        let cfg = DarknightConfig::new(k, 1);
+        let session = DarknightSession::new(cfg, GpuCluster::honest(cfg.workers_required(), 8))
+            .expect("fig3 session");
+        let mut trainer = LargeBatchTrainer::new(session, 8_192);
+        let mut model = mini_vgg(HW, 4, 42);
+        let mut sgd = dk_nn::optim::Sgd::new(0.05);
+        let mut report = LargeBatchReport::default();
+        let ns = time_ns(target_ms, || {
+            report = trainer.train_large_batch(&mut model, &xb, &labels, &mut sgd).expect("Algorithm-2 step");
+        });
+        let mut row = SystemRow::new(format!("fig3/algorithm2_n16_k{k}"), 16, ns);
+        row.counts = vec![
+            ("virtual_batches", report.virtual_batches as u64),
+            ("seal_ops", report.seal_ops),
+            ("unseal_ops", report.unseal_ops),
+        ];
+        rows.push(row);
+    }
+
+    // (c) Serving fill sweep.
+    let model = mini_vgg(HW, 4, 5);
+    let cfg = DarknightConfig::new(4, 1);
+    let cluster = GpuCluster::honest(cfg.workers_required(), 6);
+    let sample = |i: u64| {
+        Tensor::from_fn(&[3, HW, HW], move |j| {
+            (((j as u64).wrapping_mul(i * 2 + 1) % 23) as f32 - 11.0) * 0.04
+        })
+    };
+    let mut session = DarknightSession::new(cfg, cluster.fork(1)).expect("direct session");
+    let mut m = model.clone();
+    let mut full = Tensor::<f32>::zeros(&[4, 3, HW, HW]);
+    for r in 0..4 {
+        full.batch_item_mut(r).copy_from_slice(sample(r as u64).as_slice());
+    }
+    let ns = time_ns(target_ms, || {
+        std::hint::black_box(session.private_inference(&mut m, &full).expect("direct inference"));
+    });
+    rows.push(SystemRow::new("serve/direct_session", 4, ns));
+    let server = Server::start(
+        ServerConfig::new(cfg, &[3, HW, HW])
+            .with_workers(2)
+            .with_max_batch_wait(Duration::from_micros(300)),
+        &model,
+        &cluster,
+    )
+    .expect("bench server");
+    let handle = server.handle();
+    let mut next = 0u64;
+    let mut burst = |real: usize| {
+        let tickets: Vec<_> = (0..real)
+            .map(|_| {
+                next += 1;
+                let x = sample(next);
+                let t = handle.submit(InferenceRequest::new(x.clone())).expect("admitted");
+                (x, t)
+            })
+            .collect();
+        tickets.into_iter().map(|(x, t)| (x, t.wait().expect("response routed"))).collect::<Vec<_>>()
+    };
+    for real in [1usize, 2, 4] {
+        let ns = time_ns(target_ms, || {
+            std::hint::black_box(burst(real));
+        });
+        // Outside the timed window: one warm burst, checked bit-exact.
+        for (x, resp) in burst(real) {
+            let y = resp.output.expect("served");
+            let want = QuantizedReference::forward_solo(&model, &x, cfg.quant()).expect("oracle");
+            assert_eq!(
+                y.as_slice(),
+                want.as_slice(),
+                "served fill {real}/4 diverged from QuantizedReference::forward_solo"
+            );
+        }
+        rows.push(SystemRow::new(format!("serve/fill_{}pct", real * 100 / 4), real, ns));
+    }
+    drop(handle);
+    server.shutdown();
+    rows
+}
+
 /// Pulls `"key": <number>` out of a (flat) JSON object snippet — the
 /// workspace has no JSON dependency, and the file format is ours.
 fn json_number(snippet: &str, key: &str) -> Option<f64> {
@@ -109,10 +274,27 @@ fn json_number(snippet: &str, key: &str) -> Option<f64> {
 
 /// Finds the object snippet for the named bench row in a JSON string.
 fn json_row<'a>(doc: &'a str, name: &str) -> Option<&'a str> {
-    let at = doc.find(&format!("\"name\": \"{name}\""))?;
+    json_row_from(doc, &format!("\"name\": \"{name}\""))
+}
+
+/// Finds the first bench row whose name starts with `prefix`.
+fn json_row_prefixed<'a>(doc: &'a str, prefix: &str) -> Option<&'a str> {
+    json_row_from(doc, &format!("\"name\": \"{prefix}"))
+}
+
+fn json_row_from<'a>(doc: &'a str, pat: &str) -> Option<&'a str> {
+    let at = doc.find(pat)?;
     let end = doc[at..].find('}')? + at;
     Some(&doc[at..end])
 }
+
+/// Kernels whose fast:scalar ratio is gated against the committed
+/// record: the conv hot job (the offload's dominant cost), the
+/// lane-parallel field matmul (the SIMD kernel this ratio was built to
+/// protect), and the TEE-side streaming encode/decode (the coded-combine
+/// fast path).
+const GATED_PREFIXES: [&str; 4] =
+    ["conv2d_forward", "matmul_64x128x64/field", "encode_k4_m2", "decode_forward_k4_m2"];
 
 fn field_vec(rng: &mut FieldRng, len: usize) -> Vec<F25> {
     rng.uniform_vec::<P25>(len)
@@ -520,6 +702,9 @@ fn main() {
         obs_row = Some(ObsRow { off_ns, on_ns });
     }
 
+    // --- system: end-to-end rows (ungated), after the gated windows -----
+    let system = system_rows(target_ms);
+
     // --- baseline comparison (--baseline PATH): end-to-end trajectory ---
     // Computes same-mode speedups against a previous run of this binary
     // on the same host (e.g. the pre-optimization build's output), so
@@ -563,6 +748,17 @@ fn main() {
 
     println!();
     println!("{}", dk_perf::report::pipeline_table(&pipeline_rows));
+    println!();
+    println!("{:<44} {:>8} {:>12} {:>12}", "system (ungated)", "samples", "ms/op", "samples/s");
+    for r in &system {
+        println!(
+            "{:<44} {:>8} {:>12.3} {:>12.1}",
+            r.name,
+            r.samples,
+            r.ns_per_op / 1e6,
+            r.samples_per_s()
+        );
+    }
     if !alloc_rows.is_empty() {
         println!();
         println!("{:<44} {:>14} {:>14}", "alloc (per warm step)", "allocations", "bytes");
@@ -626,12 +822,13 @@ fn main() {
         extra_sections.push_str(&format!(",\n  \"vs_baseline\": [\n{}\n  ]", vs_baseline.join(",\n")));
     }
     let json = format!(
-        "{{\n  \"mode\": \"{}\",\n  \"unix_time\": {},\n  \"dk_threads\": {},\n  \"benches\": [\n{}\n  ],\n  \"pipeline\": [\n{}\n  ]{}\n}}\n",
+        "{{\n  \"mode\": \"{}\",\n  \"unix_time\": {},\n  \"dk_threads\": {},\n  \"benches\": [\n{}\n  ],\n  \"pipeline\": [\n{}\n  ],\n  \"system\": [\n{}\n  ]{}\n}}\n",
         if fast { "fast" } else { "full" },
         ts,
         dk_linalg::max_threads(),
         entries.iter().map(Entry::to_json).collect::<Vec<_>>().join(",\n"),
         pipeline_json,
+        system.iter().map(SystemRow::to_json).collect::<Vec<_>>().join(",\n"),
         extra_sections
     );
     std::fs::write(&out_path, json).expect("write bench json");
@@ -723,23 +920,16 @@ fn main() {
     // when the committed row was measured at a different spatial size,
     // e.g. a fast-mode CI run gating against the committed full-mode
     // record: the ratio shifts a few percent with shape, the margin
-    // absorbs it). Tracked kernels: the conv hot job (the offload's
-    // dominant cost), the lane-parallel field matmul (the SIMD kernel
-    // this ratio was built to protect), and the TEE-side streaming
-    // encode/decode (the coded-combine fast path).
+    // absorbs it). Tracked kernels: `GATED_PREFIXES`.
     if let Some(doc) = &committed {
-        for prefix in
-            ["conv2d_forward", "matmul_64x128x64/field", "encode_k4_m2", "decode_forward_k4_m2"]
-        {
+        for prefix in GATED_PREFIXES {
             let Some(new) = entries.iter().find(|e| e.name.starts_with(prefix)) else {
                 continue;
             };
             let new_ratio = new.fast_ns / new.baseline_ns;
-            let committed_row = json_row(doc, &new.name).map(|r| (r, 1.10)).or_else(|| {
-                let at = doc.find(&format!("\"name\": \"{prefix}"))?;
-                let end = doc[at..].find('}')? + at;
-                Some((&doc[at..end], 1.25))
-            });
+            let committed_row = json_row(doc, &new.name)
+                .map(|r| (r, 1.10))
+                .or_else(|| json_row_prefixed(doc, prefix).map(|r| (r, 1.25)));
             if let Some((row, margin)) = committed_row {
                 if let (Some(prev_fast), Some(prev_scalar)) =
                     (json_number(row, "fast_ns_per_op"), json_number(row, "scalar_ns_per_op"))
@@ -756,6 +946,24 @@ fn main() {
                     }
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The ratio gate silently skips a kernel whose committed row lacks
+    /// either column, so a hand edit of the record must not drop one.
+    #[test]
+    fn committed_record_arms_every_ratio_gate() {
+        let doc = include_str!("../../../../BENCH_kernels.json");
+        for prefix in GATED_PREFIXES {
+            let row = json_row_prefixed(doc, prefix)
+                .unwrap_or_else(|| panic!("no committed row starts with {prefix}"));
+            assert!(json_number(row, "fast_ns_per_op").is_some(), "{prefix}: no fast_ns_per_op");
+            assert!(json_number(row, "scalar_ns_per_op").is_some(), "{prefix}: no scalar_ns_per_op");
         }
     }
 }

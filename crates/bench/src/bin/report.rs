@@ -2,17 +2,12 @@
 //!
 //! Prints every table and figure of the paper's evaluation section:
 //! Tables 1–4 and Figures 3/5/6a/6b/7 from the calibrated performance
-//! model, Figure 4 from real (mini-model) training, plus a measured
-//! pipelining comparison on this host.
+//! model, and Figure 4 from real (mini-model) training. Measured
+//! pipelining on this host is a `dk_bench` row (`pipeline` section).
 //!
-//! Usage: `cargo run -p dk-bench --bin report [--quick|--full]`
+//! Usage: `cargo run -p dk_bench --bin report [--quick|--full]`
 
 use dk_bench::{fig4, render_fig4, Fig4Config};
-use dk_core::engine::{compare_training_modes, EngineOptions};
-use dk_core::DarknightConfig;
-use dk_gpu::{GpuCluster, LatencyModel};
-use dk_linalg::Tensor;
-use dk_nn::arch::mini_vgg;
 use dk_perf::{report, DeviceProfile};
 
 fn main() {
@@ -31,30 +26,4 @@ fn main() {
         _ => Fig4Config::default(),
     };
     println!("{}", render_fig4(&fig4(fig4_cfg)));
-
-    println!("----------------------------------------------------------------\n");
-    println!("Measured pipelining (this host; functional analogue of Fig. 5):\n");
-    // Real Algorithm 2 training on a multi-layer model, sequential
-    // trainer vs the pipelined engine, over a fleet with a modeled
-    // accelerator latency (the workers simulate GPUs on this CPU; the
-    // latency model is what makes wall clock reflect device occupancy —
-    // see dk_gpu::LatencyModel).
-    let epochs = if mode == "--quick" { 1 } else { 3 };
-    let cfg = DarknightConfig::new(2, 1).with_seed(7);
-    let fleet = GpuCluster::honest(cfg.workers_required(), 7)
-        .with_parallel_dispatch(true)
-        .with_latency(Some(LatencyModel { base_ns: 120_000, ns_per_kmac: 600 }));
-    let model = mini_vgg(8, 4, 42);
-    let x = Tensor::from_fn(&[8, 3, 8, 8], |i| ((i % 23) as f32 - 11.0) * 0.04);
-    let labels: Vec<usize> = (0..8).map(|i| i % 4).collect();
-    let (r, diff) =
-        compare_training_modes(cfg, &fleet, &model, &x, &labels, epochs, 0.05, EngineOptions::default())
-            .expect("pipeline comparison failed");
-    assert_eq!(diff, 0.0, "pipelined training diverged from sequential");
-    println!(
-        "  sequential: {:>8.1?}   pipelined: {:>8.1?}   speedup: {:.2}x  (bit-identical weights)\n",
-        r.sequential,
-        r.pipelined,
-        r.speedup()
-    );
 }

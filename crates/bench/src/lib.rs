@@ -3,8 +3,9 @@
 //! The one experiment that cannot come from the analytical model is the
 //! paper's **Figure 4** (training accuracy, raw vs DarKnight): it needs
 //! real training. [`fig4`] runs it on the trainable mini models against
-//! the synthetic dataset (see DESIGN.md substitutions) and reports the
-//! per-epoch accuracy of both modes side by side.
+//! the synthetic dataset (standing in for CIFAR-10, which this offline
+//! build cannot download) and reports the per-epoch accuracy of both
+//! modes side by side.
 
 use dk_core::{session::DarknightSession, DarknightConfig};
 use dk_gpu::GpuCluster;

@@ -2,8 +2,8 @@
 //!
 //! Our substrate is a simulator, not the paper's Coffee Lake + GTX 1080 Ti
 //! testbed, so absolute wall-clock comparisons are meaningless. Instead
-//! this crate follows the calibrate-then-derive discipline laid out in
-//! DESIGN.md:
+//! this crate calibrates to the paper's own measurements and derives
+//! everything else from them:
 //!
 //! 1. [`device::DeviceProfile::calibrated`] fixes per-operation
 //!    SGX/GPU throughput *ratios* to the paper's **Table 1**

@@ -195,19 +195,14 @@ impl ServerHandle {
     /// Submits a request. On acceptance returns a [`Ticket`] that
     /// blocks until the response is routed back; on overload (ingress
     /// queue full) or after shutdown the request is handed back in a
-    /// [`Shed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request's input shape differs from the server's
-    /// configured `sample_shape` (a caller bug, not an overload
-    /// condition).
+    /// [`Shed`]. A request whose input shape differs from the server's
+    /// configured `sample_shape` is handed back the same way, with
+    /// [`ShedReason::ShapeMismatch`].
     pub fn submit(&self, request: InferenceRequest) -> Result<Ticket, Shed> {
-        assert_eq!(
-            request.input.shape(),
-            &self.sample_shape[..],
-            "request sample shape does not match the server's model input"
-        );
+        if request.input.shape() != &self.sample_shape[..] {
+            self.metrics.record_shed();
+            return Err(Shed { reason: ShedReason::ShapeMismatch, request });
+        }
         // Reject non-finite inputs here, where only the offending
         // caller pays: admitted into a batch, a single NaN row would
         // abort quantization for the whole virtual batch and fail its
@@ -1413,10 +1408,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sample shape")]
-    fn wrong_sample_shape_panics() {
-        let (server, _model, _cfg) = server(1, Duration::from_millis(1));
+    fn wrong_sample_shape_is_shed() {
+        let (server, model, cfg) = server(1, Duration::from_millis(1));
         let handle = server.handle();
-        let _ = handle.submit(InferenceRequest::new(Tensor::zeros(&[3, HW + 2, HW])));
+        let shed = handle.submit(InferenceRequest::new(Tensor::zeros(&[3, HW + 2, HW]))).unwrap_err();
+        assert_eq!(shed.reason, ShedReason::ShapeMismatch);
+        assert_eq!(shed.request.input().shape(), &[3, HW + 2, HW], "request handed back intact");
+        let x = sample(3);
+        let resp = handle.submit(InferenceRequest::new(x.clone())).unwrap().wait().expect("alive");
+        let y = resp.output.expect("a well-shaped request is still served");
+        assert_eq!(y.as_slice(), solo_reference(&model, &x, cfg.quant()).as_slice());
+        let m = server.shutdown();
+        assert_eq!((m.shed, m.served, m.failed), (1, 1, 0));
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The paper runs DarKnight's encoder/decoder inside an Intel SGX enclave.
 //! No SGX hardware exists in this environment, so this crate provides the
-//! *algorithmic surface* of the enclave instead (see DESIGN.md §2 for the
-//! substitution argument):
+//! *algorithmic surface* of the enclave instead. DarKnight's claims rest
+//! on what the enclave hides and how much it can hold, not on how SGX
+//! implements it, so the simulation models those two things:
 //!
 //! * [`enclave::Enclave`] — a protected-memory budget (the 128 MB EPC of
 //!   the paper's hardware), allocation tracking and paging-event

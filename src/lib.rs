@@ -2,8 +2,8 @@
 //! trusted hardware, reproduced in Rust.
 //!
 //! This facade crate re-exports the full workspace API. See the README
-//! for the architecture overview and `DESIGN.md` for the per-experiment
-//! reproduction index.
+//! for the architecture overview; the `report` binary of `dk_bench`
+//! prints every table and figure of the paper's evaluation.
 
 pub use dk_baselines as baselines;
 pub use dk_core as core;
